@@ -1,13 +1,15 @@
-// Command spaceserver runs the tuplespace as a TCP daemon speaking
-// the XML entry protocol — the Java SpaceServer prototype of Section
-// 4.1, with the Java/socket wrapper of Figure 4 in front of every
-// connection.
+// Command spaceserver runs the tuplespace as a TCP daemon — the Java
+// SpaceServer prototype of Section 4.1, with the Java/socket wrapper
+// of Figure 4 in front of every connection.
 //
-//	spaceserver -addr :7010
+//	spaceserver -addr :7010 [-shards N] [-journal FILE]
 //
-// Clients frame each XML request with a 4-byte big-endian length
-// prefix (see internal/transport.TCPConn); cmd/spacecli and the
-// examples show the client side.
+// Clients frame each request with a 4-byte big-endian length prefix
+// (see internal/transport.TCPConn). A connection may mix the XML
+// entry protocol and the binary codec frame by frame; every reply
+// comes back in its request's codec. Each request is served to
+// completion on its connection's reader goroutine. cmd/spacecli and
+// the examples show the client side.
 //
 // -selftest runs the replicated-cluster chaos cell in-process (a
 // 3-node simulated cluster with a forced primary crash, audited for
@@ -62,7 +64,6 @@ func main() {
 	addr := flag.String("addr", ":7010", "listen address")
 	journalPath := flag.String("journal", "", "journal file for the persistent message store (restored on start)")
 	shards := flag.Int("shards", 1, "independently locked space shards (concrete-template traffic scales across them; semantics are identical at any count)")
-	workers := flag.Int("workers", runtime.NumCPU(), "gateway dispatch workers per connection (<=1 handles requests sequentially on the reader goroutine)")
 	selftest := flag.Bool("selftest", false, "run the replicated-cluster chaos self-test (3 simulated nodes, forced primary crash) and exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile here on SIGINT/SIGTERM (see also tpbench -mutexprofile / -blockprofile for offline runs)")
 	blockprofile := flag.String("blockprofile", "", "write a blocking profile here on SIGINT/SIGTERM (park/channel waits on the serving plane)")
@@ -122,7 +123,7 @@ func main() {
 		conn.OnError = func(err error) {
 			log.Printf("spaceserver: %s: %v", nc.RemoteAddr(), err)
 		}
-		stack := wrapper.NewServerStack(conn, sp, wrapper.WithWorkers(*workers))
+		stack := wrapper.NewServerStack(conn, sp)
 		stack.Gateway.OnError = func(err error) {
 			log.Printf("spaceserver: %s: gateway: %v", nc.RemoteAddr(), err)
 		}

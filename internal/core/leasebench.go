@@ -345,7 +345,14 @@ func RunNotifyBench(cfg NotifyBenchConfig) NotifyBenchResult {
 	}
 	// Kill the victim's connection mid-run, write through the outage
 	// (its events accumulate in the hub's replay ring), then resume on
-	// a brand-new connection from the applied-sequence cursor.
+	// a brand-new connection from the applied-sequence cursor. The
+	// hub flushes asynchronously, so the kill waits until the victim
+	// has applied the first half: a cursor read while events are still
+	// landing would be stale, and resuming from it would replay events
+	// the victim already counted.
+	for victimCli.NotifyLastSeq(victimSess) < perGroup[0] && time.Since(start) < 60*time.Second {
+		time.Sleep(100 * time.Microsecond)
+	}
 	cursor := victimCli.NotifyLastSeq(victimSess)
 	_ = victimCli.Close()
 	outage := half + (cfg.Writes-half)/2

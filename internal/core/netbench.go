@@ -5,9 +5,8 @@
 // throughput, latency percentiles, and allocations per operation.
 // The baseline row runs the in-binary replica of the pre-pipelining
 // TCPConn (two writes per message under the connection mutex, fresh
-// buffer per receive) with sequential gateway dispatch, so the
-// batched/pooled/concurrent serving plane is measured against the
-// exact code it replaced.
+// buffer per receive) over XML, so the batched/pooled serving plane is
+// measured against the exact code it replaced.
 
 package core
 
@@ -30,16 +29,14 @@ import (
 
 // NetBenchConfig shapes one netbench run.
 type NetBenchConfig struct {
-	Clients    int    // closed-loop client goroutines (default 64)
-	Conns      int    // connections the clients share (default 4)
-	Ops        int    // total timed requests across all clients (default 20000)
-	Codec      string // "xml" (default) or "binary"
-	Transport  string // "tcp" (loopback TCP, default) or "pipe" (in-proc)
-	Workers    int    // gateway dispatch workers per connection (default 4; <=1 sequential)
-	Shards     int    // space shards (default 4)
-	BatchOps   int    // client-side multi-op coalescing, binary codec only (<=1 off)
-	NoAffinity bool   // shared dispatch queue instead of per-shard worker queues
-	Baseline   bool   // legacy unbatched TCP framing + sequential dispatch
+	Clients   int    // closed-loop client goroutines (default 64)
+	Conns     int    // connections the clients share (default 4)
+	Ops       int    // total timed requests across all clients (default 20000)
+	Codec     string // "xml" (default) or "binary"
+	Transport string // "tcp" (loopback TCP, default) or "pipe" (in-proc)
+	Shards    int    // space shards (default 4)
+	BatchOps  int    // client-side multi-op coalescing, binary codec only (<=1 off)
+	Baseline  bool   // legacy unbatched TCP framing over XML
 }
 
 // DefaultNetBenchConfig is the acceptance-scenario shape: 64 closed-loop
@@ -49,7 +46,7 @@ type NetBenchConfig struct {
 func DefaultNetBenchConfig() NetBenchConfig {
 	return NetBenchConfig{
 		Clients: 64, Conns: 4, Ops: 20_000,
-		Codec: "xml", Transport: "tcp", Workers: 4, Shards: 4,
+		Codec: "xml", Transport: "tcp", Shards: 4,
 	}
 }
 
@@ -73,23 +70,17 @@ func (c *NetBenchConfig) fill() {
 	if c.Transport == "" {
 		c.Transport = def.Transport
 	}
-	if c.Workers == 0 {
-		c.Workers = def.Workers
-	}
 	if c.Shards <= 0 {
 		c.Shards = def.Shards
 	}
 	if c.Baseline {
-		c.Workers = 1 // the pre-PR gateway dispatched inline
 		c.Codec = "xml"
 		c.BatchOps = 0
-		c.NoAffinity = false
 	}
 }
 
-// Name labels the run in reports: transport/plane/codec, with
-// suffixes for multi-op coalescing (/bK) and shared-queue dispatch
-// (/noaff).
+// Name labels the run in reports: transport/plane/codec, with a
+// suffix for multi-op coalescing (/bK).
 func (c NetBenchConfig) Name() string {
 	plane := "batched"
 	if c.Baseline {
@@ -98,9 +89,6 @@ func (c NetBenchConfig) Name() string {
 	name := c.Transport + "/" + plane + "/" + c.Codec
 	if c.BatchOps > 1 {
 		name += fmt.Sprintf("/b%d", c.BatchOps)
-	}
-	if c.NoAffinity {
-		name += "/noaff"
 	}
 	return name
 }
@@ -125,13 +113,6 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 	cfg.fill()
 	sp := space.New(space.NewRealRuntime(), space.WithShards(cfg.Shards))
 
-	var gwOpts []wrapper.GatewayOption
-	if cfg.Workers > 1 {
-		gwOpts = append(gwOpts, wrapper.WithWorkers(cfg.Workers))
-	}
-	if cfg.NoAffinity {
-		gwOpts = append(gwOpts, wrapper.WithoutAffinity())
-	}
 	var cliOpts []wrapper.ClientOption
 	if cfg.Codec == "binary" {
 		cliOpts = append(cliOpts, wrapper.WithBinaryCodec())
@@ -141,13 +122,12 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 	}
 
 	clients := make([]*wrapper.Client, cfg.Conns)
-	var stacks []*wrapper.ServerStack
 	var ln net.Listener
 	switch cfg.Transport {
 	case "pipe":
 		for i := range clients {
 			a, b := transport.NewLoopback()
-			stacks = append(stacks, wrapper.NewServerStack(b, sp, gwOpts...))
+			wrapper.NewServerStack(b, sp)
 			clients[i] = wrapper.NewClient(a, cliOpts...)
 		}
 	default: // tcp
@@ -156,7 +136,6 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 		if err != nil {
 			panic(fmt.Sprintf("netbench: listen: %v", err))
 		}
-		accepted := make(chan *wrapper.ServerStack, cfg.Conns)
 		go func() {
 			for {
 				nc, err := ln.Accept()
@@ -169,7 +148,7 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 				} else {
 					sc = transport.NewTCPConn(nc)
 				}
-				accepted <- wrapper.NewServerStack(sc, sp, gwOpts...)
+				wrapper.NewServerStack(sc, sp)
 			}
 		}()
 		for i := range clients {
@@ -184,7 +163,6 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 				cc = transport.NewTCPConn(nc)
 			}
 			clients[i] = wrapper.NewClient(cc, cliOpts...)
-			stacks = append(stacks, <-accepted)
 		}
 	}
 
@@ -200,9 +178,9 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 	timeout := sim.DurationOf(netBenchTimeout)
 
 	// Warm the stack before the measured window opens: fills the
-	// buffer/request pools and dispatch queues, and absorbs scheduler
-	// noise from a previous run's teardown — suite rows otherwise
-	// inherit the prior row's dying goroutines as startup jitter.
+	// buffer/request pools and absorbs scheduler noise from a previous
+	// run's teardown — suite rows otherwise inherit the prior row's
+	// dying goroutines as startup jitter.
 	for _, cli := range clients {
 		w := tuple.New("netwarm", tuple.Int("c", 0))
 		for i := 0; i < 8; i++ {
@@ -255,9 +233,6 @@ func RunNetBench(cfg NetBenchConfig) NetBenchResult {
 	for _, cli := range clients {
 		_ = cli.Close()
 	}
-	for _, st := range stacks {
-		_ = st.Gateway.Close()
-	}
 	if ln != nil {
 		_ = ln.Close()
 	}
@@ -289,33 +264,29 @@ type NetBenchSuite struct {
 func RunNetBenchSuite(cfg NetBenchConfig, codec string) NetBenchSuite {
 	cfg.fill()
 	var runs []NetBenchConfig
-	add := func(transportName string, baseline bool, c string, batchOps int, noAffinity bool) {
+	add := func(transportName string, baseline bool, c string, batchOps int) {
 		r := cfg
 		r.Transport = transportName
 		r.Baseline = baseline
 		r.Codec = c
 		r.BatchOps = batchOps
-		r.NoAffinity = noAffinity
 		runs = append(runs, r)
 	}
-	add("tcp", true, "xml", 0, false)
+	add("tcp", true, "xml", 0)
 	if codec == "" || codec == "xml" {
-		add("tcp", false, "xml", 0, false)
-		add("pipe", false, "xml", 0, false)
+		add("tcp", false, "xml", 0)
+		add("pipe", false, "xml", 0)
 	}
 	if codec == "" || codec == "binary" {
-		add("tcp", false, "binary", 0, false)
-		add("pipe", false, "binary", 0, false)
-		// The tentpole A/B rows: multi-op coalescing (cfg.BatchOps, or 8
-		// by default), and shared-queue dispatch with affinity routing
-		// disabled.
+		add("tcp", false, "binary", 0)
+		add("pipe", false, "binary", 0)
+		// Multi-op coalescing rows (cfg.BatchOps, or 8 by default).
 		bk := 8
 		if cfg.BatchOps > 1 {
 			bk = cfg.BatchOps
 		}
-		add("tcp", false, "binary", bk, false)
-		add("pipe", false, "binary", bk, false)
-		add("pipe", false, "binary", 0, true)
+		add("tcp", false, "binary", bk)
+		add("pipe", false, "binary", bk)
 	}
 	var s NetBenchSuite
 	for _, r := range runs {
@@ -341,14 +312,8 @@ func (s NetBenchSuite) Format() string {
 		return "netbench: no results\n"
 	}
 	c := s.Results[0].Config
-	for _, r := range s.Results { // the baseline row pins Workers=1
-		if !r.Config.Baseline {
-			c = r.Config
-			break
-		}
-	}
-	fmt.Fprintf(&b, "Network serving-plane workload: %d clients over %d conns, %d ops/run, %d gateway workers, %d shard(s)\n",
-		c.Clients, c.Conns, s.Results[0].Ops, c.Workers, c.Shards)
+	fmt.Fprintf(&b, "Network serving-plane workload: %d clients over %d conns, %d ops/run, %d shard(s)\n",
+		c.Clients, c.Conns, s.Results[0].Ops, c.Shards)
 	fmt.Fprintf(&b, "%-22s %12s %10s %10s %12s %9s\n",
 		"plane", "ops/sec", "p50", "p99", "allocs/op", "speedup")
 	base := s.baselineOps()

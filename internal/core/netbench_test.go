@@ -16,7 +16,6 @@ func TestRunNetBenchSmoke(t *testing.T) {
 		{Clients: 4, Conns: 2, Ops: 40, Transport: "pipe", Codec: "binary"},
 		{Clients: 4, Conns: 2, Ops: 40, Transport: "pipe", Codec: "binary", BatchOps: 4},
 		{Clients: 4, Conns: 2, Ops: 40, Transport: "tcp", Codec: "binary", BatchOps: 4},
-		{Clients: 4, Conns: 2, Ops: 40, Transport: "pipe", Codec: "binary", NoAffinity: true},
 	}
 	for _, cfg := range cases {
 		res := RunNetBench(cfg)
@@ -35,15 +34,14 @@ func TestRunNetBenchSmoke(t *testing.T) {
 
 func TestNetBenchSuiteReport(t *testing.T) {
 	s := RunNetBenchSuite(NetBenchConfig{Clients: 4, Conns: 2, Ops: 40}, "binary")
-	// baseline + tcp/binary + pipe/binary + tcp/b8 + pipe/b8 + pipe/noaff
-	if len(s.Results) != 6 {
+	// baseline + tcp/binary + pipe/binary + tcp/b8 + pipe/b8
+	if len(s.Results) != 5 {
 		t.Fatalf("got %d results", len(s.Results))
 	}
 	text := s.Format()
 	for _, want := range []string{
 		"tcp/baseline/xml", "tcp/batched/binary", "pipe/batched/binary",
-		"tcp/batched/binary/b8", "pipe/batched/binary/b8",
-		"pipe/batched/binary/noaff", "speedup",
+		"tcp/batched/binary/b8", "pipe/batched/binary/b8", "speedup",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report missing %q:\n%s", want, text)

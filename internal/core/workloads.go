@@ -590,21 +590,18 @@ func newWorkloadStack(cfg WorkloadConfig, participants int) wlStack {
 		return wlStack{conns: conns, close: func() {}}
 	}
 
-	// pipe / tcp: the full Figure 4 stack with the binary codec and
-	// shard-affinity gateway dispatch, one connection per participant.
-	gwOpts := []wrapper.GatewayOption{wrapper.WithWorkers(4)}
+	// pipe / tcp: the full Figure 4 stack with the binary codec, one
+	// connection per participant.
+	gwOpts := []wrapper.GatewayOption{wrapper.WithNotifyHub(wrapper.NewNotifyHub())}
 	cliOpts := []wrapper.ClientOption{wrapper.WithBinaryCodec()}
-	hub := wrapper.NewNotifyHub()
-	gwOpts = append(gwOpts, wrapper.WithNotifyHub(hub))
 
 	clients := make([]*wrapper.Client, participants)
-	var stacks []*wrapper.ServerStack
 	var ln net.Listener
 	switch cfg.Plane {
 	case "pipe":
 		for i := range clients {
 			a, b := transport.NewLoopback()
-			stacks = append(stacks, wrapper.NewServerStack(b, sp, gwOpts...))
+			wrapper.NewServerStack(b, sp, gwOpts...)
 			clients[i] = wrapper.NewClient(a, cliOpts...)
 		}
 	case "tcp":
@@ -613,14 +610,13 @@ func newWorkloadStack(cfg WorkloadConfig, participants int) wlStack {
 		if err != nil {
 			panic("workload: listen: " + err.Error())
 		}
-		accepted := make(chan *wrapper.ServerStack, participants)
 		go func() {
 			for {
 				nc, err := ln.Accept()
 				if err != nil {
 					return
 				}
-				accepted <- wrapper.NewServerStack(transport.NewTCPConn(nc), sp, gwOpts...)
+				wrapper.NewServerStack(transport.NewTCPConn(nc), sp, gwOpts...)
 			}
 		}()
 		for i := range clients {
@@ -629,7 +625,6 @@ func newWorkloadStack(cfg WorkloadConfig, participants int) wlStack {
 				panic("workload: dial: " + err.Error())
 			}
 			clients[i] = wrapper.NewClient(transport.NewTCPConn(nc), cliOpts...)
-			stacks = append(stacks, <-accepted)
 		}
 	default:
 		panic("workload: unknown plane " + cfg.Plane)
@@ -659,9 +654,6 @@ func newWorkloadStack(cfg WorkloadConfig, participants int) wlStack {
 	return wlStack{conns: conns, close: func() {
 		for _, cli := range clients {
 			_ = cli.Close()
-		}
-		for _, st := range stacks {
-			_ = st.Gateway.Close()
 		}
 		if ln != nil {
 			_ = ln.Close()

@@ -43,6 +43,7 @@ type Journal struct {
 	w   *bufio.Writer
 	f   *os.File // non-nil when backed by a file (for Sync)
 	err error
+	rec []byte // record scratch, reused under mu
 }
 
 // NewJournal wraps a writer (commonly an os.File opened with
@@ -108,17 +109,18 @@ func (j *Journal) logWrite(id uint64, t tuple.Tuple, lease sim.Duration) {
 	if j.err != nil {
 		return
 	}
-	body := xmlcodec.EncodeTupleBinary(t)
-	var hdr [1 + 8 + 8 + 4]byte
-	hdr[0] = journalWrite
-	binary.BigEndian.PutUint64(hdr[1:], uint64(lease))
-	binary.BigEndian.PutUint64(hdr[9:], id)
-	binary.BigEndian.PutUint32(hdr[17:], uint32(len(body)))
-	if _, err := j.w.Write(hdr[:]); err != nil {
-		j.err = err
-		return
-	}
-	if _, err := j.w.Write(body); err != nil {
+	// Header and body go into the reused scratch, the body length
+	// patched in once the tuple is encoded: one buffered write, and no
+	// allocation once the scratch has grown to the largest record.
+	const hdrLen = 1 + 8 + 8 + 4
+	rec := append(j.rec[:0], journalWrite)
+	rec = binary.BigEndian.AppendUint64(rec, uint64(lease))
+	rec = binary.BigEndian.AppendUint64(rec, id)
+	rec = append(rec, 0, 0, 0, 0)
+	rec = xmlcodec.AppendTupleBinary(rec, &t)
+	binary.BigEndian.PutUint32(rec[hdrLen-4:], uint32(len(rec)-hdrLen))
+	j.rec = rec
+	if _, err := j.w.Write(rec); err != nil {
 		j.err = err
 	}
 }
@@ -133,30 +135,18 @@ func (j *Journal) logRemoveBatch(ids []uint64) {
 	if j.err != nil {
 		return
 	}
-	var rec [9]byte
-	rec[0] = journalRemove
+	rec := append(j.rec[:0], journalRemove, 0, 0, 0, 0, 0, 0, 0, 0)
+	j.rec = rec
 	for _, id := range ids {
 		binary.BigEndian.PutUint64(rec[1:], id)
-		if _, err := j.w.Write(rec[:]); err != nil {
+		if _, err := j.w.Write(rec); err != nil {
 			j.err = err
 			return
 		}
 	}
 }
 
-func (j *Journal) logRemove(id uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	var rec [9]byte
-	rec[0] = journalRemove
-	binary.BigEndian.PutUint64(rec[1:], id)
-	if _, err := j.w.Write(rec[:]); err != nil {
-		j.err = err
-	}
-}
+func (j *Journal) logRemove(id uint64) { j.logRemoveBatch([]uint64{id}) }
 
 // SetJournal attaches a journal: every subsequent write, take, lease
 // expiry and cancellation is recorded. Attach before the first write;

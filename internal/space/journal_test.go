@@ -2,12 +2,16 @@ package space
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"tpspace/internal/sim"
 	"tpspace/internal/tuple"
+	"tpspace/internal/xmlcodec"
 )
 
 func TestJournalReplayRestoresLiveEntries(t *testing.T) {
@@ -267,5 +271,84 @@ func TestReplayCountExcludesConsumedEntries(t *testing.T) {
 	// The stat, by contrast, counts every surviving record replayed.
 	if got := s.Stats().Restored; got != 2 {
 		t.Fatalf("Stats.Restored = %d, want 2", got)
+	}
+}
+
+// legacyWriteRecord is the write record as logWrite used to emit it:
+// a separately built header followed by EncodeTupleBinary's body.
+func legacyWriteRecord(id uint64, t tuple.Tuple, lease sim.Duration) []byte {
+	body := xmlcodec.EncodeTupleBinary(t)
+	rec := []byte{journalWrite}
+	rec = binary.BigEndian.AppendUint64(rec, uint64(lease))
+	rec = binary.BigEndian.AppendUint64(rec, id)
+	rec = binary.BigEndian.AppendUint32(rec, uint32(len(body)))
+	return append(rec, body...)
+}
+
+// TestJournalRecordBytesUnchanged pins the on-disk format: a fixed op
+// sequence over every field kind journals exactly the bytes of the
+// header-then-EncodeTupleBinary encoding, so existing journals replay
+// unchanged.
+func TestJournalRecordBytesUnchanged(t *testing.T) {
+	var buf bytes.Buffer
+	_, s := simSpace()
+	s.SetJournal(NewJournal(&buf))
+	big := make([]byte, 5000) // longer than the record scratch's first growth
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	tuples := []tuple.Tuple{
+		tuple.New("rec", tuple.Int("i", -42), tuple.Float("f", 2.5),
+			tuple.String("s", "héllo"), tuple.Bool("b", true), tuple.Bytes("raw", []byte{0, 1, 2})),
+		tuple.New("rec", tuple.Int("i", 1<<40), tuple.Float("f", -0.125),
+			tuple.String("s", ""), tuple.Bool("b", false), tuple.Bytes("raw", big)),
+		tuple.New("small", tuple.Int("n", 7)),
+	}
+	leases := []sim.Duration{NoLease, sim.DurationOf(5 * time.Second), NoLease}
+	var want []byte
+	for i, tp := range tuples {
+		if _, err := s.Write(tp, leases[i]); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, legacyWriteRecord(uint64(i+1), tp, leases[i])...)
+	}
+	if _, ok := s.TakeIfExists(tuples[0]); !ok {
+		t.Fatal("take missed")
+	}
+	want = append(want, journalRemove, 0, 0, 0, 0, 0, 0, 0, 1)
+	if _, err := s.Write(tuples[2], NoLease); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, legacyWriteRecord(4, tuples[2], NoLease)...)
+	if err := s.journal.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("journal bytes differ from the legacy encoding:\n got %x\nwant %x", buf.Bytes(), want)
+	}
+}
+
+// TestJournaledPutAllocs checks that journaling adds no allocation to
+// a steady-state Put: the record is built in the journal's reused
+// scratch. Each iteration takes the entry back so the Put recycles it.
+func TestJournaledPutAllocs(t *testing.T) {
+	allocs := func(journaled bool) float64 {
+		s := New(NewRealRuntime())
+		if journaled {
+			s.SetJournal(NewJournal(io.Discard))
+		}
+		tp := tuple.New("put", tuple.Int("n", 1), tuple.Bytes("payload", make([]byte, 256)))
+		return testing.AllocsPerRun(200, func() {
+			if err := s.Put(tp, NoLease); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.TakeIfExists(tp); !ok {
+				t.Fatal("take missed")
+			}
+		})
+	}
+	bare, journaled := allocs(false), allocs(true)
+	if journaled > bare {
+		t.Fatalf("journaled Put allocates %.1f/op, unjournaled %.1f/op", journaled, bare)
 	}
 }

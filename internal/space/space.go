@@ -242,9 +242,8 @@ func New(rt Runtime, opts ...Option) *Space {
 func (s *Space) Shards() int { return len(s.shards) }
 
 // RoutePrefix reports the routing depth entries and templates hash
-// by (see WithRoutePrefix). Dispatch layers feed it to
-// tuple.Tuple.RouteSig / xmlcodec.WireRouteSig so wire-side routing
-// agrees with the store's.
+// by (see WithRoutePrefix). Feeding it to tuple.Tuple.RouteSig gives
+// the signature the store routes by.
 func (s *Space) RoutePrefix() int { return s.routePrefix }
 
 // shardFor routes a routing signature to its home shard.
@@ -256,11 +255,8 @@ func (s *Space) shardFor(rh uint64) *shard {
 }
 
 // ShardOf reports the index of the home shard for a routing
-// signature — the same routing shardFor applies internally. Dispatch
-// layers use it to queue requests by home shard (computed from wire
-// bytes via tuple.Sig) so traffic for different shards never
-// serializes on one queue, while same-shard traffic keeps its
-// arrival order.
+// signature — the same routing shardFor applies internally. The
+// workload estimator uses it to charge each op to its shard's clock.
 func (s *Space) ShardOf(rh uint64) int {
 	if len(s.shards) == 1 {
 		return 0

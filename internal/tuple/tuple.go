@@ -286,56 +286,6 @@ func sigString(h uint64, s string) uint64 {
 	return h
 }
 
-// Sig is an incremental signature hash exposing the exact byte
-// sequence the tuple signatures fold, so codecs can compute a tuple's
-// ValueSig straight from wire bytes without materializing the tuple
-// (the serving plane routes requests to their home shard at decode
-// time). Every method returns the advanced hash; all are
-// allocation-free.
-type Sig uint64
-
-// SigInit returns the FNV-1a offset basis every signature starts from.
-func SigInit() Sig { return Sig(sigOffset64) }
-
-// Byte folds one byte.
-func (h Sig) Byte(b byte) Sig { return Sig(sigByte(uint64(h), b)) }
-
-// Uint64 folds a 64-bit value, least-significant byte first.
-func (h Sig) Uint64(v uint64) Sig { return Sig(sigUint64(uint64(h), v)) }
-
-// Str folds a length-prefixed string, exactly as ValueSig folds
-// string fields.
-func (h Sig) Str(s string) Sig { return Sig(sigString(uint64(h), s)) }
-
-// Bytes folds a length-prefixed byte slice; Bytes(b) == Str(string(b))
-// without the conversion.
-func (h Sig) Bytes(b []byte) Sig {
-	v := sigUint64(uint64(h), uint64(len(b)))
-	for i := 0; i < len(b); i++ {
-		v = sigByte(v, b[i])
-	}
-	return Sig(v)
-}
-
-// Float folds a float value with the same -0.0 canonicalization
-// ValueSig applies (Matches compares floats with ==, so ±0.0 must
-// share a signature).
-func (h Sig) Float(f float64) Sig {
-	bits := math.Float64bits(f)
-	if f == 0 {
-		bits = 0
-	}
-	return h.Uint64(bits)
-}
-
-// Bool folds a boolean exactly as ValueSig folds bool fields.
-func (h Sig) Bool(b bool) Sig {
-	if b {
-		return h.Byte(1)
-	}
-	return h.Byte(0)
-}
-
 // ShapeSig hashes (arity, field kinds) — the coarsest index key: a
 // template matches only tuples with its exact shape, whatever its
 // type name or wildcard pattern.

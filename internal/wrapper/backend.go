@@ -32,8 +32,8 @@ import (
 // binState is the per-frame decode scratch: the request struct whose
 // tuple storage is reused across frames, and the intern table that
 // makes recurring type/field names allocation-free. States live in a
-// pool because frames can be served concurrently (dispatch workers,
-// or loopback senders in sequential mode).
+// pool because frames can be served concurrently (the reader
+// goroutines of several connections, or concurrent loopback senders).
 type binState struct {
 	req xmlcodec.BinRequest
 	in  *xmlcodec.Interner
@@ -412,7 +412,10 @@ func appendMatchResp(id uint64, got tuple.Tuple, ok bool) []byte {
 		out := transport.GetBuf(64)
 		return xmlcodec.AppendResponseBinary(out, id, false, false, 0, "", nil)
 	}
-	out := transport.GetBuf(256)
+	// Sized to the entry: a reply grown past its buffer by append would
+	// reach the dedup cache, and then the pool, in a class no request
+	// draws from.
+	out := transport.GetBuf(64 + xmlcodec.TupleBinarySize(&got))
 	return xmlcodec.AppendResponseBinary(out, id, true, false, 0, "", &got)
 }
 

@@ -101,35 +101,6 @@ func BenchmarkBinServeWrite(b *testing.B) {
 	}
 }
 
-// TestDispatcherDrainsQueueOnStop is the shutdown-drop regression
-// test: every frame accepted by enqueue must be handled before stop
-// returns, even frames still queued when stop is called.
-func TestDispatcherDrainsQueueOnStop(t *testing.T) {
-	var handled atomic.Int64
-	block := make(chan struct{})
-	d := newDispatcher(2, func(b []byte) {
-		<-block
-		handled.Add(1)
-	}, nil)
-	const n = 50
-	for i := 0; i < n; i++ {
-		buf := transport.GetBuf(1)
-		if !d.enqueue(append(buf, byte(i))) {
-			t.Fatalf("enqueue %d rejected before stop", i)
-		}
-	}
-	close(block)
-	d.stop()
-	if got := handled.Load(); got != n {
-		t.Fatalf("handled %d of %d queued frames after stop", got, n)
-	}
-	buf := transport.GetBuf(1)
-	if d.enqueue(append(buf, 0)) {
-		t.Fatal("enqueue accepted after stop")
-	}
-	transport.PutBuf(buf[:0])
-}
-
 // TestMalformedBinaryFrameAnswersInBinary: a truncated or corrupt
 // binary request must produce a binary error response (ID 0 when the
 // header is gone) and leave the session serving.
@@ -190,54 +161,40 @@ func TestMalformedBinaryFrameAnswersInBinary(t *testing.T) {
 // gateway and checks the batched response carries every member's
 // reply in order.
 func TestBatchFrameRoundTrip(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		sp := space.New(space.NewRealRuntime(), space.WithShards(4))
-		cc := &captureConn{}
-		var opts []GatewayOption
-		if workers > 1 {
-			opts = append(opts, WithWorkers(workers))
-		}
-		st := NewServerStack(cc, sp, opts...)
+	sp := space.New(space.NewRealRuntime(), space.WithShards(4))
+	cc := &captureConn{}
+	NewServerStack(cc, sp)
 
-		const k = 6
-		batch := xmlcodec.AppendBatchHeader(nil, false, k)
-		for i := 0; i < k; i++ {
-			batch = xmlcodec.AppendBatchMember(batch, binWriteFrame(uint64(i+1), int64(i), 0))
-		}
-		cc.onRecv(batch)
+	const k = 6
+	batch := xmlcodec.AppendBatchHeader(nil, false, k)
+	for i := 0; i < k; i++ {
+		batch = xmlcodec.AppendBatchMember(batch, binWriteFrame(uint64(i+1), int64(i), 0))
+	}
+	cc.onRecv(batch)
 
-		deadlineOK := func() bool {
-			for _, f := range cc.take() {
-				it, err := xmlcodec.NewBatchIter(f)
-				if err != nil {
-					t.Fatalf("workers=%d: response not a batch: %v", workers, err)
-				}
-				if it.Len() != k {
-					t.Fatalf("workers=%d: batch response has %d members, want %d", workers, it.Len(), k)
-				}
-				for i := 0; i < k; i++ {
-					m, err := it.Next()
-					if err != nil {
-						t.Fatalf("workers=%d member %d: %v", workers, i, err)
-					}
-					resp, err := xmlcodec.UnmarshalResponse(m)
-					if err != nil || !resp.OK || resp.ID != uint64(i+1) {
-						t.Fatalf("workers=%d member %d: resp=%+v err=%v", workers, i, resp, err)
-					}
-				}
-				return true
-			}
-			return false
+	frames := cc.take()
+	if len(frames) != 1 {
+		t.Fatalf("got %d responses, want 1 batch frame", len(frames))
+	}
+	it, err := xmlcodec.NewBatchIter(frames[0])
+	if err != nil {
+		t.Fatalf("response not a batch: %v", err)
+	}
+	if it.Len() != k {
+		t.Fatalf("batch response has %d members, want %d", it.Len(), k)
+	}
+	for i := 0; i < k; i++ {
+		m, err := it.Next()
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
 		}
-		if workers > 1 {
-			waitFor(t, deadlineOK)
-		} else if !deadlineOK() {
-			t.Fatalf("workers=%d: no batch response", workers)
+		resp, err := xmlcodec.UnmarshalResponse(m)
+		if err != nil || !resp.OK || resp.ID != uint64(i+1) {
+			t.Fatalf("member %d: resp=%+v err=%v", i, resp, err)
 		}
-		if n := sp.Size(); n != k {
-			t.Fatalf("workers=%d: space size %d after batch of %d writes", workers, n, k)
-		}
-		_ = st.Gateway.Close()
+	}
+	if n := sp.Size(); n != k {
+		t.Fatalf("space size %d after batch of %d writes", n, k)
 	}
 }
 
@@ -279,7 +236,6 @@ func TestBatchMalformedMemberFillsSlots(t *testing.T) {
 			t.Fatalf("member %d: resp=%+v err=%v", i, resp, err)
 		}
 	}
-	_ = st.Gateway.Close()
 }
 
 // TestClientBatchingRoundTrip runs a real client with multi-op
@@ -287,7 +243,7 @@ func TestBatchMalformedMemberFillsSlots(t *testing.T) {
 func TestClientBatchingRoundTrip(t *testing.T) {
 	sp := space.New(space.NewRealRuntime(), space.WithShards(4))
 	a, b := transport.NewLoopback()
-	st := NewServerStack(b, sp, WithWorkers(4))
+	NewServerStack(b, sp)
 	cli := NewClient(a, WithBinaryCodec(), WithBatchOps(4))
 
 	const n = 32
@@ -315,13 +271,12 @@ func TestClientBatchingRoundTrip(t *testing.T) {
 	if err := cli.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = st.Gateway.Close()
 }
 
-// TestAffinityEquivalence checks shard-affinity dispatch against
-// sequential dispatch: the same pipelined workload lands the space in
-// the same state with the same per-kind stats, for several worker
-// counts.
+// TestAffinityEquivalence checks that kind-affine shard routing is
+// invisible on the serving stack: the same pipelined workload, served
+// run-to-completion, lands a 4-shard space in the same state with the
+// same stats as an unsharded one.
 func TestAffinityEquivalence(t *testing.T) {
 	type outcome struct {
 		size   int
@@ -329,17 +284,10 @@ func TestAffinityEquivalence(t *testing.T) {
 		writes uint64
 		misses uint64
 	}
-	run := func(workers int, noAffinity bool) outcome {
-		sp := space.New(space.NewRealRuntime(), space.WithShards(4))
+	run := func(shards int) outcome {
+		sp := space.New(space.NewRealRuntime(), space.WithShards(shards))
 		a, b := transport.NewLoopback()
-		var opts []GatewayOption
-		if workers > 1 {
-			opts = append(opts, WithWorkers(workers))
-		}
-		if noAffinity {
-			opts = append(opts, WithoutAffinity())
-		}
-		st := NewServerStack(b, sp, opts...)
+		NewServerStack(b, sp)
 		cli := NewClient(a, WithBinaryCodec())
 
 		const goroutines = 8
@@ -363,20 +311,12 @@ func TestAffinityEquivalence(t *testing.T) {
 		}
 		wg.Wait()
 		_ = cli.Close()
-		_ = st.Gateway.Close()
 		s := sp.Stats()
 		return outcome{size: sp.Size(), takes: s.Takes, writes: s.Writes, misses: s.Misses}
 	}
 
-	want := run(1, false)
-	for _, workers := range []int{2, 8} {
-		for _, noAff := range []bool{false, true} {
-			got := run(workers, noAff)
-			if got != want {
-				t.Fatalf("workers=%d noAffinity=%v: outcome %+v, want %+v",
-					workers, noAff, got, want)
-			}
-		}
+	if got, want := run(4), run(1); got != want {
+		t.Fatalf("4 shards: outcome %+v, want %+v (1 shard)", got, want)
 	}
 }
 

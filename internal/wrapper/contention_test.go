@@ -25,7 +25,7 @@ import (
 func TestRetransmitCompletesExactlyOnce(t *testing.T) {
 	sp := space.New(space.NewRealRuntime(), space.WithShards(4))
 	a, b := transport.NewLoopback()
-	st := NewServerStack(b, sp, WithWorkers(2))
+	NewServerStack(b, sp)
 	cli := NewClient(a, WithBinaryCodec())
 	// Real-clock resilience with no per-attempt deadline: requests are
 	// only ever retransmitted by the explicit Resend hammer below.
@@ -89,7 +89,6 @@ func TestRetransmitCompletesExactlyOnce(t *testing.T) {
 	if err := cli.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = st.Gateway.Close()
 }
 
 //
@@ -106,7 +105,7 @@ func TestRetransmitCompletesExactlyOnce(t *testing.T) {
 func BenchmarkSyncClientOpCells(b *testing.B) {
 	sp := space.New(space.NewRealRuntime(), space.WithShards(4))
 	a, bEnd := transport.NewLoopback()
-	st := NewServerStack(bEnd, sp)
+	NewServerStack(bEnd, sp)
 	cli := NewClient(a, WithBinaryCodec())
 
 	tup := tuple.New("sc", tuple.Int("i", int64(0)))
@@ -126,7 +125,6 @@ func BenchmarkSyncClientOpCells(b *testing.B) {
 	}
 	b.StopTimer()
 	_ = cli.Close()
-	_ = st.Gateway.Close()
 }
 
 // BenchmarkSyncClientOpChannelBaseline replicates the pre-cell sync
@@ -136,7 +134,7 @@ func BenchmarkSyncClientOpCells(b *testing.B) {
 func BenchmarkSyncClientOpChannelBaseline(b *testing.B) {
 	sp := space.New(space.NewRealRuntime(), space.WithShards(4))
 	a, bEnd := transport.NewLoopback()
-	st := NewServerStack(bEnd, sp)
+	NewServerStack(bEnd, sp)
 	cli := NewClient(a, WithBinaryCodec())
 
 	tup := tuple.New("sc", tuple.Int("i", int64(0)))
@@ -167,7 +165,6 @@ func BenchmarkSyncClientOpChannelBaseline(b *testing.B) {
 	}
 	b.StopTimer()
 	_ = cli.Close()
-	_ = st.Gateway.Close()
 }
 
 // singleLockPending replicates the pre-striping pending table: one

@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -25,11 +26,11 @@ func realStack(t *testing.T, gwOpts []GatewayOption, cliOpts []ClientOption) (*C
 }
 
 // TestConcurrentGatewayDispatch runs many closed-loop clients through
-// one worker-pool gateway (under -race this also exercises every
-// cross-goroutine handoff): every write/take pair must complete and
-// the space must come back empty.
+// one gateway (under -race this also exercises every cross-goroutine
+// completion): every write/take pair must complete and the space must
+// come back empty.
 func TestConcurrentGatewayDispatch(t *testing.T) {
-	cli, sp := realStack(t, []GatewayOption{WithWorkers(4)}, nil)
+	cli, sp := realStack(t, nil, nil)
 	const goroutines, pairs = 16, 20
 	timeout := sim.DurationOf(30 * time.Second)
 	var wg sync.WaitGroup
@@ -57,12 +58,12 @@ func TestConcurrentGatewayDispatch(t *testing.T) {
 }
 
 // TestConcurrentDispatchDedup retransmits a completed request id
-// through a worker-pool gateway: the duplicate must be answered from
-// the dedup cache, not executed again.
+// through the gateway: the duplicate must be answered from the dedup
+// cache, not executed again.
 func TestConcurrentDispatchDedup(t *testing.T) {
 	sp := space.New(space.NewRealRuntime())
 	a, b := transport.NewLoopback()
-	NewServerStack(b, sp, WithWorkers(4))
+	NewServerStack(b, sp)
 	resps := make(chan xmlcodec.Response, 4)
 	a.SetOnReceive(func(p []byte) {
 		r, err := xmlcodec.UnmarshalResponse(p)
@@ -221,5 +222,100 @@ func TestMixedCodecsOneConnection(t *testing.T) {
 	}
 	if sp.Size() != 2 {
 		t.Fatalf("space size = %d", sp.Size())
+	}
+}
+
+// TestParkedTakeNoHeadOfLineBlocking is the head-of-line property of
+// run-to-completion serving, on real TCP connections: a blocking Take
+// that parks in the space must not hold up later requests on its own
+// connection — they are served on the same reader goroutine, so a
+// request that blocked it would stall them all. The parked take then
+// completes when a second connection writes its tuple.
+func TestParkedTakeNoHeadOfLineBlocking(t *testing.T) {
+	for _, codec := range []string{"binary", "xml"} {
+		t.Run(codec, func(t *testing.T) {
+			sp := space.New(space.NewRealRuntime(), space.WithShards(2))
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			go func() {
+				for {
+					nc, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					NewServerStack(transport.NewTCPConn(nc), sp)
+				}
+			}()
+			var cliOpts []ClientOption
+			if codec == "binary" {
+				cliOpts = append(cliOpts, WithBinaryCodec())
+			}
+			dial := func() *Client {
+				tc, err := transport.Dial(ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cli := NewClient(tc, cliOpts...)
+				t.Cleanup(func() { cli.Close() })
+				return cli
+			}
+			parker, writer := dial(), dial()
+
+			want := tuple.New("hol", tuple.Int("n", 1))
+			taken := make(chan tuple.Tuple, 1)
+			parker.Take(tuple.New("hol", tuple.AnyInt("n")), sim.DurationOf(30*time.Second),
+				func(tp tuple.Tuple, ok bool) {
+					if !ok {
+						t.Error("parked take failed")
+					}
+					taken <- tp
+				})
+			// Requests behind the parked take, on its connection: the
+			// reader serves frames in order, so by the time these are
+			// answered the take has reached the space and parked.
+			other := tuple.New("other", tuple.Int("n", 2))
+			wrote := make(chan bool, 1)
+			parker.Write(other, space.NoLease, func(ok bool, _ string) { wrote <- ok })
+			hit := make(chan bool, 1)
+			parker.TakeIfExists(other, func(_ tuple.Tuple, ok bool) { hit <- ok })
+			pinged := make(chan bool, 1)
+			parker.Ping(func(ok bool) { pinged <- ok })
+			for _, op := range []struct {
+				name string
+				ch   chan bool
+			}{{"Write", wrote}, {"TakeIfExists", hit}, {"Ping", pinged}} {
+				select {
+				case ok := <-op.ch:
+					if !ok {
+						t.Fatalf("%s behind parked take failed", op.name)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s stuck behind the parked take", op.name)
+				}
+			}
+			select {
+			case tp := <-taken:
+				t.Fatalf("take completed before its tuple was written: %v", tp)
+			default:
+			}
+
+			if err := writer.WriteWait(want, space.NoLease); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case tp := <-taken:
+				if !tp.Matches(want) {
+					t.Fatalf("parked take got %v, want %v", tp, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("parked take never completed")
+			}
+			if sp.Size() != 0 {
+				t.Fatalf("space size = %d, want 0", sp.Size())
+			}
+		})
 	}
 }

@@ -153,24 +153,20 @@ func RegisterSpace(srv *rmi.Server, conn transport.Conn, sp *space.Space) {
 // client-facing transport, forwards XML requests to the space server
 // through RMI, and relays responses and notify events back.
 //
-// By default requests are dispatched sequentially on the transport's
-// reader goroutine — the deterministic behaviour every simulated
-// transport relies on. WithWorkers hands decode and dispatch to a
-// bounded per-connection worker pool instead, so one slow request no
-// longer head-of-line-blocks the connection (real TCP serving wants
-// this; the paper-reproduction paths must not use it).
+// Every request runs to completion on the goroutine that delivers it —
+// the transport's reader goroutine on TCP, the sender's on the
+// in-process loopback. No request blocks there: binary ops either hit
+// at once or park a callback in the space's waiter index, and XML ops
+// ride the callback-driven RMI hop. Replies go out through the
+// transport's send path; when that backs up, the reader waits, and
+// the backpressure reaches the client through TCP (DESIGN §16).
 type Gateway struct {
-	client   transport.Conn
-	rmi      *rmi.Client
-	dispatch *dispatcher
+	client transport.Conn
+	rmi    *rmi.Client
 	// sp, when set (NewServerStack), serves binary frames directly on
 	// the space — the zero-copy path of backend.go. bd is its
 	// at-most-once table.
 	sp *space.Space
-	// rp caches sp.RoutePrefix() so routeFrame computes the same
-	// routing signature from wire bytes that the space computes from
-	// decoded tuples, without touching the space per frame.
-	rp int
 	bd *binDedup
 	// hub serves durable notify sessions (notify.go); shared across
 	// the gateways of a server process so sessions survive reconnects
@@ -182,34 +178,20 @@ type Gateway struct {
 
 // gwConfig carries the GatewayOption knobs.
 type gwConfig struct {
-	workers    int
-	noAffinity bool
-	sp         *space.Space
-	hub        *NotifyHub
+	sp  *space.Space
+	hub *NotifyHub
 }
 
 // GatewayOption configures a Gateway at construction.
 type GatewayOption func(*gwConfig)
 
-// WithWorkers dispatches requests on a pool of n worker goroutines
-// instead of the transport reader (n <= 1 keeps the default
-// sequential dispatch). Workers own per-shard queues routed by the
-// request tuple's home-shard signature (see dispatcher); responses
-// already correlate by request id, so relaxed cross-shard ordering is
-// protocol-visible but harmless, and at-most-once execution is
-// preserved by the server's request-id dedup. Keep the
-// simulated/deterministic transports sequential — their outputs must
-// stay byte-identical run to run.
+// WithWorkers is a no-op: the gateway serves every request on the
+// connection's reader goroutine and has no worker pool to size.
+//
+// Deprecated: drop the option; it is kept only so existing callers
+// still build.
 func WithWorkers(n int) GatewayOption {
-	return func(c *gwConfig) { c.workers = n }
-}
-
-// WithoutAffinity replaces the per-shard worker queues with the
-// legacy single shared queue (any worker takes the next frame). Kept
-// for A/B benchmarks; affinity routing is otherwise strictly better
-// on sharded spaces.
-func WithoutAffinity() GatewayOption {
-	return func(c *gwConfig) { c.noAffinity = true }
+	return func(*gwConfig) {}
 }
 
 // withSpace wires the gateway's direct space backend — set by
@@ -237,18 +219,10 @@ func NewGateway(client transport.Conn, rc *rmi.Client, opts ...GatewayOption) *G
 	}
 	g := &Gateway{client: client, rmi: rc, sp: cfg.sp, hub: cfg.hub}
 	if g.sp != nil {
-		g.rp = g.sp.RoutePrefix()
 		g.bd = newBinDedup(dedupCacheCap)
 		if g.hub == nil {
 			g.hub = NewNotifyHub()
 		}
-	}
-	if cfg.workers > 1 {
-		route := g.routeFrame
-		if cfg.noAffinity {
-			route = nil
-		}
-		g.dispatch = newDispatcher(cfg.workers, g.handle, route)
 	}
 	rc.OnEvent = func(object, method string, body []byte) {
 		if object == SpaceObject && method == "event" {
@@ -257,46 +231,8 @@ func NewGateway(client transport.Conn, rc *rmi.Client, opts ...GatewayOption) *G
 			}
 		}
 	}
-	client.SetOnReceive(g.onRequest)
+	client.SetOnReceive(g.handle)
 	return g
-}
-
-// routeFrame maps a request frame to its dispatch worker: the home
-// shard of the tuple's routing signature, computed straight from the
-// wire bytes under the space's route prefix — so all traffic for one
-// shard flows through one queue in arrival order. Under the default
-// kind routing this homes wildcard templates too (their kind
-// signature is concrete even when field values are not). Sig-less
-// frames (untyped templates, wildcards inside the routing window,
-// pings) spread by request id; anything else (XML, batches)
-// round-robins.
-func (g *Gateway) routeFrame(b []byte) int {
-	if g.sp != nil {
-		if rh, ok := xmlcodec.WireRouteSig(b, g.rp); ok {
-			return g.sp.ShardOf(rh)
-		}
-	} else if vh, ok := xmlcodec.WireValueSig(b); ok {
-		return int(vh & 0x7FFFFFFF)
-	}
-	if id, _, ok := xmlcodec.PeekRequest(b); ok {
-		return int(id & 0x7FFFFFFF)
-	}
-	return g.dispatch.nextRR()
-}
-
-func (g *Gateway) onRequest(b []byte) {
-	if g.dispatch != nil {
-		// The transport recycles its receive buffer once this callback
-		// returns; the frame crosses to a worker, so copy it into a
-		// pooled buffer (the worker releases it after handling).
-		buf := transport.GetBuf(len(b))
-		buf = append(buf, b...)
-		if !g.dispatch.enqueue(buf) {
-			transport.PutBuf(buf) // gateway stopped: connection teardown
-		}
-		return
-	}
-	g.handle(b)
 }
 
 // handle routes one request frame: batch frames fan out to their
@@ -395,14 +331,10 @@ func (g *Gateway) forward(id uint64, op string, binaryCodec bool, b []byte, done
 // without WithNotifyHub can hand its private hub to sibling stacks.
 func (g *Gateway) NotifyHub() *NotifyHub { return g.hub }
 
-// Close stops the dispatch workers, if any. The transports are owned
-// (and closed) by the caller.
-func (g *Gateway) Close() error {
-	if g.dispatch != nil {
-		g.dispatch.stop()
-	}
-	return nil
-}
+// Close is a no-op kept for callers that pair it with NewGateway: a
+// gateway owns no goroutines, and the transports are owned (and
+// closed) by the caller.
+func (g *Gateway) Close() error { return nil }
 
 // ErrClosed is returned by client operations after Close.
 var ErrClosed = errors.New("wrapper: client closed")

@@ -266,6 +266,34 @@ func AppendTupleBinary(dst []byte, t *tuple.Tuple) []byte {
 	return dst
 }
 
+// TupleBinarySize bounds the bytes AppendTupleBinary appends for t:
+// exact except that a float field is counted at its longest
+// formatting. Callers size pooled buffers with it, so an append never
+// outgrows the buffer's size class.
+func TupleBinarySize(t *tuple.Tuple) int {
+	n := 2 + len(t.Type) + 1
+	for i := range t.Fields {
+		f := &t.Fields[i]
+		n += 1 + 2 + len(f.Name)
+		if f.Wildcard {
+			continue
+		}
+		switch f.Kind {
+		case tuple.KindInt:
+			n += 8
+		case tuple.KindFloat:
+			n += 2 + 24 // e.g. -1.2345678901234567e-308
+		case tuple.KindString:
+			n += 2 + len(f.Str)
+		case tuple.KindBool:
+			n++
+		case tuple.KindBytes:
+			n += 2 + len(f.Bytes)
+		}
+	}
+	return n
+}
+
 // AppendRequestBinary appends a full binary request frame to dst:
 // the fast-path equivalent of MarshalRequestBinary, building the
 // frame from a live tuple with no XML-shaped intermediate. entry may
@@ -360,130 +388,6 @@ func DecodeResponseBinaryInto(r *BinResponse, b []byte, in *Interner) error {
 		return nil
 	}
 	return decodeTupleInto(&r.Entry, b[binRespHdrLen+errLen:], in)
-}
-
-// WireValueSig computes tuple.ValueSig straight from a binary request
-// frame's wire bytes, without decoding the entry. ok is false when the
-// frame carries no entry, the entry has wildcard fields (templates
-// without a value signature), or the frame is malformed.
-func WireValueSig(frame []byte) (sig uint64, ok bool) {
-	return WireRouteSig(frame, int(^uint(0)>>1))
-}
-
-// WireRouteSig computes tuple.RouteSig(prefix) straight from a binary
-// request frame's wire bytes, without decoding the entry: the dispatch
-// fast path routes a frame to its home-shard queue before any worker
-// touches it. Wildcard fields are allowed at indexes at or past the
-// prefix window (they fold into the kind signature but carry no value
-// bytes to hash); a wildcard inside the window, a frame without an
-// entry, or a malformed frame yields ok=false — callers fall back to
-// the all-shard path or id routing and let the worker's full decode
-// report any error.
-func WireRouteSig(frame []byte, prefix int) (sig uint64, ok bool) {
-	if len(frame) < binReqHdrLen || frame[0] != binReqMagic || frame[26] != 1 {
-		return 0, false
-	}
-	b := frame[binReqHdrLen:]
-	pos := 0
-	span := func() (int, int, bool) {
-		if pos+2 > len(b) {
-			return 0, 0, false
-		}
-		n := int(b[pos])<<8 | int(b[pos+1])
-		pos += 2
-		if pos+n > len(b) {
-			return 0, 0, false
-		}
-		s, e := pos, pos+n
-		pos += n
-		return s, e, true
-	}
-	ts, te, k := span()
-	if !k {
-		return 0, false
-	}
-	if pos >= len(b) {
-		return 0, false
-	}
-	nf := int(b[pos])
-	pos++
-	// One walk collects kinds and value spans; the hash then folds
-	// them in RouteSig order (type, arity, kinds, then the values of
-	// the first min(prefix, arity) fields).
-	const maxFields = 64
-	if nf > maxFields {
-		return 0, false
-	}
-	n := prefix
-	if n > nf {
-		n = nf
-	}
-	var kinds [maxFields]byte
-	var vstart, vend [maxFields]int
-	for i := 0; i < nf; i++ {
-		if pos >= len(b) {
-			return 0, false
-		}
-		flags := b[pos]
-		pos++
-		kind := tuple.Kind(flags & 0x7F)
-		kinds[i] = byte(kind)
-		if _, _, k := span(); !k { // field name
-			return 0, false
-		}
-		if flags&0x80 != 0 {
-			if i < n {
-				return 0, false // wildcard inside the routing window
-			}
-			continue // wildcards carry no value bytes
-		}
-		switch kind {
-		case tuple.KindInt:
-			if pos+8 > len(b) {
-				return 0, false
-			}
-			vstart[i], vend[i] = pos, pos+8
-			pos += 8
-		case tuple.KindFloat, tuple.KindString, tuple.KindBytes:
-			s, e, k := span()
-			if !k {
-				return 0, false
-			}
-			vstart[i], vend[i] = s, e
-		case tuple.KindBool:
-			if pos >= len(b) {
-				return 0, false
-			}
-			vstart[i], vend[i] = pos, pos+1
-			pos++
-		default:
-			return 0, false
-		}
-	}
-	h := tuple.SigInit().Bytes(b[ts:te]).Uint64(uint64(nf))
-	for i := 0; i < nf; i++ {
-		h = h.Byte(kinds[i])
-	}
-	for i := 0; i < n; i++ {
-		v := b[vstart[i]:vend[i]]
-		switch tuple.Kind(kinds[i]) {
-		case tuple.KindInt:
-			h = h.Uint64(binary.BigEndian.Uint64(v))
-		case tuple.KindFloat:
-			f, err := strconv.ParseFloat(string(v), 64)
-			if err != nil {
-				return 0, false
-			}
-			h = h.Float(f)
-		case tuple.KindString:
-			h = h.Bytes(v)
-		case tuple.KindBool:
-			h = h.Bool(v[0] == 1)
-		case tuple.KindBytes:
-			h = h.Bytes(v)
-		}
-	}
-	return uint64(h), true
 }
 
 //

@@ -160,3 +160,26 @@ func TestBinaryRequestSmallerThanXML(t *testing.T) {
 		t.Fatal("binary frame starts like XML")
 	}
 }
+
+// TestTupleBinarySizeBounds checks TupleBinarySize against the bytes
+// AppendTupleBinary really appends: exact without floats, an upper
+// bound with them.
+func TestTupleBinarySizeBounds(t *testing.T) {
+	for _, tp := range []tuple.Tuple{
+		tuple.New("empty"),
+		tuple.New("job", tuple.Int("id", 7), tuple.String("op", "fft"),
+			tuple.Bool("ok", true), tuple.Bytes("raw", make([]byte, 5000))),
+		tuple.New("job", tuple.AnyInt("id"), tuple.AnyString("op"), tuple.AnyBytes("raw")),
+		tuple.New("f", tuple.Float("x", -1.2345678901234567e-308), tuple.Float("y", 0.5)),
+	} {
+		got := len(AppendTupleBinary(nil, &tp))
+		bound := TupleBinarySize(&tp)
+		hasFloat := false
+		for _, f := range tp.Fields {
+			hasFloat = hasFloat || (f.Kind == tuple.KindFloat && !f.Wildcard)
+		}
+		if got > bound || (!hasFloat && got != bound) {
+			t.Fatalf("%v: appended %d bytes, TupleBinarySize %d", tp, got, bound)
+		}
+	}
+}

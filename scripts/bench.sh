@@ -19,9 +19,8 @@
 #                      closed-loop clients over loopback TCP and the
 #                      in-proc pipe, batched/pooled plane vs the
 #                      in-binary unbatched baseline, XML and binary
-#                      codecs, plus the binary variants — multi-op
-#                      coalescing (/b8, 8 ops per batch frame) and
-#                      shard-affinity dispatch disabled (/noaff);
+#                      codecs, plus the binary multi-op coalescing
+#                      variants (/b8, 8 ops per batch frame);
 #                      records {name, clients, conns, ops,
 #                      ops_per_sec, p50_ns, p99_ns, allocs_per_op,
 #                      speedup_vs_baseline}

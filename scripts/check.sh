@@ -11,7 +11,10 @@
 #   allocate, a sync-client-op alloc gate (the pooled completion-cell
 #   path must stay <=1 alloc/op end to end), a tiny -netbench run of
 #   the network serving plane including the multi-op batch rows
-#   (-batchops 8), a -scaling smoke (the GOMAXPROCS sweep must emit
+#   (-batchops 8), a real-process serving smoke (a spaceserver child
+#   on a loopback port driven by spacecli over XML and binary,
+#   including a take that parks until another client writes), a
+#   -scaling smoke (the GOMAXPROCS sweep must emit
 #   its P=1 reference row), a classic-workload smoke (every pattern of
 #   tpbench -workload must emit its sim estimate pair and its
 #   kind-routed vs all-shard baseline pair over the pipe plane; the
@@ -158,7 +161,49 @@ echo "==> network serving-plane smoke (tpbench -netbench, tiny run, batchops 8)"
 grep -q "tcp/baseline/xml" "$tmp/netbench.txt"
 grep -q "tcp/batched/binary" "$tmp/netbench.txt"
 grep -q "pipe/batched/binary/b8" "$tmp/netbench.txt"
-grep -q "pipe/batched/binary/noaff" "$tmp/netbench.txt"
+
+echo "==> real-process serving smoke (spaceserver + spacecli, XML and binary, parked take)"
+go build -o "$tmp/spaceserver" ./cmd/spaceserver
+go build -o "$tmp/spacecli" ./cmd/spacecli
+"$tmp/spaceserver" -addr 127.0.0.1:0 2> "$tmp/server.log" &
+server=$!
+trap 'kill "$server" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+addr=
+for _ in $(seq 100); do
+    addr=$(sed -n 's/.*listening on \(.*\)$/\1/p' "$tmp/server.log")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "spaceserver never logged its listen address" >&2
+    cat "$tmp/server.log" >&2
+    exit 1
+fi
+for codec in "" -binary; do
+    # shellcheck disable=SC2086
+    {
+        "$tmp/spacecli" -addr "$addr" $codec write smoke op=fft n:int=7 | grep -qx ok
+        "$tmp/spacecli" -addr "$addr" $codec read smoke 'op=?' n:int=7 | grep -q fft
+        [ "$("$tmp/spacecli" -addr "$addr" $codec count smoke 'op=?' 'n:int=?')" = 1 ]
+        "$tmp/spacecli" -addr "$addr" $codec take smoke 'op=?' n:int=7 | grep -q fft
+        [ "$("$tmp/spacecli" -addr "$addr" $codec count smoke 'op=?' 'n:int=?')" = 0 ]
+    }
+done
+# A take with no match parks in the space until a second client's
+# write arrives.
+"$tmp/spacecli" -addr "$addr" -binary -timeout 20s take parked 'n:int=?' > "$tmp/parked.txt" &
+taker=$!
+sleep 0.5
+if ! kill -0 "$taker" 2>/dev/null; then
+    echo "spacecli take returned before any matching write" >&2
+    cat "$tmp/parked.txt" >&2
+    exit 1
+fi
+"$tmp/spacecli" -addr "$addr" write parked n:int=42 | grep -qx ok
+wait "$taker"
+grep -q 42 "$tmp/parked.txt"
+kill "$server"
+wait "$server" 2>/dev/null || true
 
 echo "==> multi-core scaling smoke (tpbench -netbench -scaling, tiny run)"
 "$tmp/tpbench" -netbench -scaling -clients 4 -netops 80 > "$tmp/scaling.txt"
