@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"log"
 	"net"
@@ -112,9 +113,21 @@ func main() {
 		log.Fatalf("spaceserver: %v", err)
 	}
 	log.Printf("spaceserver: tuplespace listening on %s", ln.Addr())
+	log.Fatalf("spaceserver: %v", serve(ln, sp))
+}
 
+// serve accepts connections on ln until it is closed. Every connection
+// gets its own gateway over sp, and all of them share one notify hub,
+// so a durable notify session opened on one connection can be resumed
+// from another.
+func serve(ln net.Listener, sp *space.Space) error {
+	hub := wrapper.NewNotifyHub()
+	defer hub.Close()
 	for {
 		nc, err := ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return err
+		}
 		if err != nil {
 			log.Printf("spaceserver: accept: %v", err)
 			continue
@@ -123,7 +136,7 @@ func main() {
 		conn.OnError = func(err error) {
 			log.Printf("spaceserver: %s: %v", nc.RemoteAddr(), err)
 		}
-		stack := wrapper.NewServerStack(conn, sp)
+		stack := wrapper.NewServerStack(conn, sp, wrapper.WithNotifyHub(hub))
 		stack.Gateway.OnError = func(err error) {
 			log.Printf("spaceserver: %s: gateway: %v", nc.RemoteAddr(), err)
 		}

@@ -1,7 +1,7 @@
 // Network serving-plane load generator: the -netbench mode of
-// cmd/tpbench. Closed-loop clients drive the full Figure 4 stack —
-// wrapper.Client → framed transport → gateway → RMI → Space — over
-// real loopback TCP and over the in-process pipe, and report
+// cmd/tpbench. Closed-loop clients drive the deployed server stack —
+// wrapper.Client → framed transport → gateway → Space — over real
+// loopback TCP and over the in-process pipe, and report
 // throughput, latency percentiles, and allocations per operation.
 // The baseline row runs the in-binary replica of the pre-pipelining
 // TCPConn (two writes per message under the connection mutex, fresh

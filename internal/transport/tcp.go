@@ -373,6 +373,10 @@ func (t *TCPConn) SetOnReceive(fn func([]byte)) {
 }
 
 func (t *TCPConn) readLoop() {
+	// A reader that stops — peer gone, stream corrupt, or conn closed —
+	// ends the connection: nothing else would stop the writer goroutine
+	// or close the socket of a peer that has left.
+	defer t.Close()
 	br := bufio.NewReaderSize(t.nc, readBufSize)
 	var slabs [len(recvClasses)][]byte
 	var hdr [4]byte

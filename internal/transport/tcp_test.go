@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +170,27 @@ func TestTCPConnCleanEOF(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if st := conn.Stats(); st.ReadErrors != 0 {
 		t.Fatalf("ReadErrors = %d, want 0", st.ReadErrors)
+	}
+}
+
+// TestTCPConnClosesWhenPeerLeaves: once the peer closes, the conn
+// releases its goroutines and socket by itself, with no Send needed to
+// discover the loss, and later Sends fail.
+func TestTCPConnClosesWhenPeerLeaves(t *testing.T) {
+	base := runtime.NumGoroutine()
+	raw, side := net.Pipe()
+	conn := NewTCPConn(side)
+	conn.SetOnReceive(func([]byte) {})
+	raw.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the peer closed, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := conn.Send([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send after the peer closed: %v, want ErrClosed", err)
 	}
 }
 

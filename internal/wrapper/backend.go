@@ -1,14 +1,15 @@
 package wrapper
 
-// The gateway's direct binary backend: when the gateway and the space
-// share a process (NewServerStack), a binary frame is served straight
-// off the wire — decoded from the transport's receive slab into a
-// pooled scratch request, executed on the space, and answered by
-// appending into a pooled size-class buffer — with no XML-shaped
-// intermediate, no string-typed op dispatch, and no RMI remarshal
-// hop. The observable protocol (wire shapes, at-most-once dedup,
-// error mapping, notify pushes) matches RegisterSpace exactly; XML
-// frames and stacks without a space handle keep the RMI path.
+// The request executor: every request frame a server stack accepts —
+// binary or XML — is decoded into one pooled scratch request,
+// executed on the space by one op switch under one at-most-once table,
+// and answered by appending into a pooled size-class buffer in the
+// codec the request arrived in. NewServerStack runs it on the
+// connection's reader goroutine with no RMI hop; RegisterSpace runs
+// the same executor behind the RMI skeleton of NewSimServerStack. A
+// binary frame is served straight off the wire: decoded from the
+// transport's receive slab with no XML-shaped intermediate and no
+// string-typed op dispatch.
 //
 // Buffer ownership on this path is linear (DESIGN §11): a response
 // buffer comes from transport.GetBuf, is handed to Conn.Send (which
@@ -19,6 +20,7 @@ package wrapper
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -47,11 +49,11 @@ var binStatePool = sync.Pool{
 	New: func() any { return &binState{in: xmlcodec.NewInterner()} },
 }
 
-// binDedup is the direct path's at-most-once table — the semantics of
-// dedup (resilience.go) with pooled-buffer ownership and no per-op
-// closure: completed responses are cached verbatim (the cache owns
-// the pooled frame, releasing it on eviction), duplicates of in-flight
-// requests park a delivery hook on the original.
+// binDedup is the executor's at-most-once table, one per client
+// connection (request ids are per connection): completed responses
+// are cached verbatim (the cache owns the pooled frame, releasing it
+// on eviction), and duplicates of in-flight requests park on the
+// original and receive a copy of its response.
 //
 // The completed-response cache is a direct-mapped array indexed by
 // id&(cap-1) rather than a map+FIFO queue: a completion is one slot
@@ -59,8 +61,8 @@ var binStatePool = sync.Pool{
 // duplicate check one slot compare — no map hashing, no eviction
 // queue, no per-completion append. Request ids are per-connection
 // sequential, so a slot holds an id for exactly cap completions before
-// collision evicts it — the same retention the FIFO queue of capacity
-// cap provided.
+// collision evicts it — the same retention a FIFO queue of capacity
+// cap provides.
 type binDedup struct {
 	mu       sync.Mutex
 	mask     uint64
@@ -76,8 +78,8 @@ type bdSlot struct {
 	resp []byte
 }
 
-// bdWait tracks one in-flight id; parked duplicate deliverers are
-// appended by the (rare) resend race.
+// bdWait tracks one in-flight id; the done functions of parked
+// duplicates are appended by the (rare) resend race.
 type bdWait struct {
 	waiters []func([]byte)
 	next    *bdWait
@@ -97,17 +99,16 @@ func newBinDedup(cap int) *binDedup {
 
 // begin verdicts.
 const (
-	bdNew      = iota // fresh id: caller executes, then calls complete
-	bdDup             // duplicate: resp (an owned copy) answers it, or it parked
-	bdDupEmpty        // duplicate parked on the in-flight original; nothing to send now
+	bdNew    = iota // fresh id: caller executes, then calls complete
+	bdDup           // duplicate of a completed request: resp (an owned copy) answers it
+	bdParked        // duplicate of an in-flight request: parked until complete
 )
 
 // begin registers an attempt at id. For a completed duplicate it
-// returns an owned copy of the cached response; for an in-flight
-// duplicate it parks deliver (called with an owned copy when the
-// original completes; nil deliver just drops the duplicate — the
-// original's response answers it).
-func (d *binDedup) begin(id uint64, deliver func([]byte)) (verdict int, resp []byte) {
+// returns an owned copy of the cached response; an in-flight
+// duplicate parks done (nil meaning the client connection, as for
+// Gateway.deliver) until the original completes.
+func (d *binDedup) begin(id uint64, done func([]byte)) (verdict int, resp []byte) {
 	d.mu.Lock()
 	if s := &d.slots[id&d.mask]; s.id == id && s.resp != nil {
 		cp := transport.GetBuf(len(s.resp))
@@ -116,11 +117,9 @@ func (d *binDedup) begin(id uint64, deliver func([]byte)) (verdict int, resp []b
 		return bdDup, cp
 	}
 	if w, ok := d.inflight[id]; ok {
-		if deliver != nil {
-			w.waiters = append(w.waiters, deliver)
-		}
+		w.waiters = append(w.waiters, done)
 		d.mu.Unlock()
-		return bdDupEmpty, nil
+		return bdParked, nil
 	}
 	w := d.free
 	if w != nil {
@@ -136,58 +135,39 @@ func (d *binDedup) begin(id uint64, deliver func([]byte)) (verdict int, resp []b
 
 // complete finishes id with its response frame, taking ownership of
 // resp (a transport.GetBuf buffer): the cache keeps it in id's slot
-// until a colliding completion evicts it back to the pool. Parked
-// duplicates receive owned copies.
-func (d *binDedup) complete(id uint64, resp []byte) {
+// until a colliding completion evicts it back to the pool. It returns
+// the duplicates parked on id, each with an owned copy of resp.
+func (d *binDedup) complete(id uint64, resp []byte) (waiters []func([]byte), dups [][]byte) {
 	d.mu.Lock()
 	w := d.inflight[id]
 	delete(d.inflight, id)
-	var dups [][]byte
-	if w != nil {
-		for range w.waiters {
-			cp := transport.GetBuf(len(resp))
-			dups = append(dups, append(cp, resp...))
-		}
-	}
 	s := &d.slots[id&d.mask]
 	if s.resp != nil {
 		transport.PutBuf(s.resp)
 	}
 	s.id, s.resp = id, resp
-	var waiters []func([]byte)
 	if w != nil {
+		for range w.waiters {
+			cp := transport.GetBuf(len(resp))
+			dups = append(dups, append(cp, resp...))
+		}
 		waiters = w.waiters
 		w.waiters = nil
 		w.next = d.free
 		d.free = w
 	}
 	d.mu.Unlock()
-	for i, fn := range waiters {
-		fn(dups[i])
-	}
+	return waiters, dups
 }
 
-// abort drops an in-flight registration without caching (malformed
-// requests discovered after begin); parked duplicates are dropped too
-// — a retransmit will re-run the same error path.
-func (d *binDedup) abort(id uint64) {
-	d.mu.Lock()
-	if w, ok := d.inflight[id]; ok {
-		delete(d.inflight, id)
-		w.waiters = nil
-		w.next = d.free
-		d.free = w
-	}
-	d.mu.Unlock()
-}
-
-// deliverBin hands a finished response frame to its destination — the
-// client connection, or a batch slot (which takes ownership) — and
-// releases it. Used for replies that are NOT entering the dedup cache
-// (duplicates' copies, id-0 errors).
-func (g *Gateway) deliverBin(frame []byte, done func([]byte)) {
+// deliver hands a finished response frame to its destination — done
+// (a batch slot or the RMI adapter's respond, which takes ownership)
+// or, with done nil, the client connection — and releases it. Used
+// for replies that are NOT entering the dedup cache (duplicates'
+// copies, errors answered before execution).
+func (g *Gateway) deliver(frame []byte, done func([]byte)) {
 	if done != nil {
-		done(frame) // slot owns it now
+		done(frame) // done owns it now
 		return
 	}
 	if err := g.client.Send(frame); err != nil && g.OnError != nil {
@@ -196,20 +176,24 @@ func (g *Gateway) deliverBin(frame []byte, done func([]byte)) {
 	transport.PutBuf(frame)
 }
 
-// finishBin completes a fresh execution: the response goes out (or
-// into its batch slot), then its buffer transfers to the dedup cache
-// (id != 0) or back to the pool.
-func (g *Gateway) finishBin(id uint64, frame []byte, done func([]byte)) {
+// finish completes a fresh execution: the response goes out (or to
+// done), then its buffer transfers to the dedup cache (id != 0) and
+// the duplicates parked on the id receive copies, or it returns to the
+// pool (id 0).
+func (g *Gateway) finish(id uint64, frame []byte, done func([]byte)) {
 	if done != nil {
 		cp := transport.GetBuf(len(frame))
 		done(append(cp, frame...))
 	} else if err := g.client.Send(frame); err != nil && g.OnError != nil {
 		g.OnError(err)
 	}
-	if id != 0 {
-		g.bd.complete(id, frame)
-	} else {
+	if id == 0 {
 		transport.PutBuf(frame)
+		return
+	}
+	waiters, dups := g.bd.complete(id, frame)
+	for i, w := range waiters {
+		g.deliver(dups[i], w)
 	}
 }
 
@@ -221,71 +205,165 @@ func binTimeout(ms int64) sim.Duration {
 	return sim.Duration(ms) * sim.Millisecond
 }
 
-// serveBinary executes one single-op binary frame against the space
-// directly. done, when non-nil, receives the response frame (owned)
-// instead of it being sent — the batch path. The frame's bytes are
-// only read during this call.
-func (g *Gateway) serveBinary(b []byte, done func([]byte)) {
-	st := binStatePool.Get().(*binState)
-	if err := xmlcodec.DecodeRequestBinaryInto(&st.req, b, st.in); err != nil {
-		binStatePool.Put(st)
-		if g.OnError != nil {
-			g.OnError(err)
+// appendResp builds a response frame in a pooled buffer, in the
+// codec its request arrived in: the binary append, or the XML
+// marshal when xml is set. entry may be nil.
+func appendResp(xml bool, id uint64, ok, event bool, count int64, errMsg string, entry *tuple.Tuple) []byte {
+	if xml {
+		r := xmlcodec.NewResponse(id, ok, entry, errMsg)
+		r.Event, r.Count = event, count
+		// A Response holds only strings, integers and booleans, which
+		// the XML encoder always writes (invalid characters become
+		// U+FFFD), into a buffer that cannot fail.
+		b, _ := xmlcodec.MarshalResponse(r)
+		return append(transport.GetBuf(len(b)), b...)
+	}
+	// Sized to the reply: one grown past its buffer by append would
+	// reach the dedup cache, and then the pool, in a class no request
+	// draws from.
+	n := 64 + len(errMsg)
+	if entry != nil {
+		n += xmlcodec.TupleBinarySize(entry)
+	}
+	return xmlcodec.AppendResponseBinary(transport.GetBuf(n), id, ok, event, count, errMsg, entry)
+}
+
+// matchResp is the reply of the match operations: ok with the tuple,
+// or the historical empty-error miss shape.
+func matchResp(xml bool, id uint64, got *tuple.Tuple, ok bool) []byte {
+	if !ok {
+		got = nil
+	}
+	return appendResp(xml, id, ok, false, 0, "", got)
+}
+
+// malformed answers a frame that does not decode: in the binary codec
+// when the frame carries a binary magic, in XML otherwise, with id the
+// request id when the header parsed (0 when it did not). The session
+// keeps serving.
+func (g *Gateway) malformed(b []byte, id uint64, err error, done func([]byte)) {
+	if g.OnError != nil {
+		g.OnError(err)
+	}
+	g.deliver(appendResp(!xmlcodec.IsBinaryFrame(b), id, false, false, 0,
+		"wrapper: malformed request: "+err.Error(), nil), done)
+}
+
+// unknownOp answers a request for an operation the executor does not
+// serve in that codec.
+func (g *Gateway) unknownOp(xml bool, id uint64, op string, done func([]byte)) {
+	g.deliver(appendResp(xml, id, false, false, 0,
+		fmt.Sprintf("wrapper: unknown operation %q", op), nil), done)
+}
+
+// parseXMLRequest parses a frame that is not a well-formed binary
+// request header. A frame with a binary magic is an error either way:
+// a broken binary request fails the binary decoder, and the other
+// magics are not valid UTF-8, so not XML.
+func parseXMLRequest(b []byte) (xmlcodec.Request, error) {
+	req, err := xmlcodec.UnmarshalRequest(b)
+	if err == nil && xmlcodec.IsBinaryFrame(b) {
+		err = errors.New("unexpected binary frame")
+	}
+	return req, err
+}
+
+// sessionOp reports whether op belongs to the durable notify
+// sessions, which only binary clients of a stack with a notify hub
+// can use.
+func sessionOp(op string) bool {
+	return op == xmlcodec.OpNotifySession || op == xmlcodec.OpNotifyResume || op == xmlcodec.OpNotifyEnd
+}
+
+// decode fills st.req from one single-op frame of either codec and
+// reports whether it is ready to execute; otherwise the frame has
+// been answered.
+func (g *Gateway) decode(st *binState, b []byte, xml bool, done func([]byte)) bool {
+	if !xml {
+		if err := xmlcodec.DecodeRequestBinaryInto(&st.req, b, st.in); err != nil {
+			// The header's id when it parsed (entry corruption), 0 when
+			// not even the header survived.
+			id, _, _ := xmlcodec.PeekRequest(b)
+			g.malformed(b, id, err, done)
+			return false
 		}
-		// Malformed binary frame: answer in the binary codec with the
-		// header's id when it parsed (entry corruption) or id 0 when not
-		// even the header survived, and keep the session alive.
-		id, _, _ := xmlcodec.PeekRequest(b)
-		out := transport.GetBuf(256)
-		out = xmlcodec.AppendResponseBinary(out, id, false, false, 0,
-			"wrapper: malformed request: "+err.Error(), nil)
-		g.deliverBin(out, done)
+		if sessionOp(st.req.Op) && g.hub == nil {
+			g.unknownOp(false, st.req.ID, st.req.Op, done)
+			return false
+		}
+		return true
+	}
+	r, err := parseXMLRequest(b)
+	if err != nil {
+		g.malformed(b, 0, err, done)
+		return false
+	}
+	code, ok := xmlcodec.OpCodeOf(r.Op)
+	if !ok || sessionOp(r.Op) {
+		g.unknownOp(true, r.ID, r.Op, done)
+		return false
+	}
+	req := &st.req
+	req.ID, req.Code, req.Op, req.LeaseMs, req.TimeoutMs = r.ID, code, xmlcodec.OpNameOf(code), r.LeaseMs, r.TimeoutMs
+	req.HasEntry = r.Op != xmlcodec.OpPing
+	if req.HasEntry {
+		// An entry that does not decode is answered under the request's
+		// id with the decoder's message, as the XML protocol always has.
+		if req.Entry, err = r.Tuple(); err != nil {
+			g.deliver(appendResp(true, r.ID, false, false, 0, err.Error(), nil), done)
+			return false
+		}
+	}
+	return true
+}
+
+// serve executes one single-op request frame of either codec on the
+// space. done, when non-nil, receives the owned response frame
+// instead of it being sent — a batch slot, or the RMI adapter's
+// respond. The frame's bytes are only read during this call.
+//
+// serve holds no lock of its own around space calls: each operation
+// routes through the space's template classifier, so on a sharded
+// space concrete-template traffic from concurrent connections locks
+// only its home shard, and only wildcard templates take the
+// documented cross-shard path.
+func (g *Gateway) serve(b []byte, done func([]byte)) {
+	st := binStatePool.Get().(*binState)
+	defer binStatePool.Put(st)
+	xml := !xmlcodec.IsBinaryRequest(b)
+	if !g.decode(st, b, xml, done) {
 		return
 	}
 	req := &st.req
 	id := req.ID
 
 	if id != 0 {
-		var deliver func([]byte)
-		if done != nil {
-			deliver = done // a duplicate inside a batch must still fill its slot
-		}
-		switch verdict, resp := g.bd.begin(id, deliver); verdict {
+		switch verdict, resp := g.bd.begin(id, done); verdict {
 		case bdDup:
-			g.deliverBin(resp, done)
-			binStatePool.Put(st)
+			g.deliver(resp, done)
 			return
-		case bdDupEmpty:
-			binStatePool.Put(st)
+		case bdParked:
 			return
 		}
 	}
 
 	switch req.Op {
 	case xmlcodec.OpPing:
-		out := transport.GetBuf(64)
-		out = xmlcodec.AppendResponseBinary(out, id, true, false, 0, "", nil)
-		g.finishBin(id, out, done)
+		g.finish(id, appendResp(xml, id, true, false, 0, "", nil), done)
 
 	case xmlcodec.OpCount:
 		n := int64(g.sp.Count(req.Entry))
-		out := transport.GetBuf(64)
-		out = xmlcodec.AppendResponseBinary(out, id, true, false, n, "", nil)
-		g.finishBin(id, out, done)
+		g.finish(id, appendResp(xml, id, true, false, n, "", nil), done)
 
 	case xmlcodec.OpWrite:
 		// Put, not Write: the lease handle would be discarded, and Put
 		// clones into a freelisted entry — the steady-state write path
 		// allocates nothing space-side.
-		var out []byte
 		if err := g.sp.Put(req.Entry, sim.Duration(req.LeaseMs)*sim.Millisecond); err != nil {
-			out = transport.GetBuf(256)
-			out = xmlcodec.AppendResponseBinary(out, id, false, false, 0, err.Error(), nil)
+			g.finish(id, appendResp(xml, id, false, false, 0, err.Error(), nil), done)
 		} else {
-			out = transport.GetBuf(64)
-			out = xmlcodec.AppendResponseBinary(out, id, true, false, 0, "", nil)
+			g.finish(id, appendResp(xml, id, true, false, 0, "", nil), done)
 		}
-		g.finishBin(id, out, done)
 
 	case xmlcodec.OpReadIfExists, xmlcodec.OpTakeIfExists:
 		var got tuple.Tuple
@@ -295,7 +373,7 @@ func (g *Gateway) serveBinary(b []byte, done func([]byte)) {
 		} else {
 			got, ok = g.sp.TakeIfExists(req.Entry)
 		}
-		g.finishBin(id, appendMatchResp(id, got, ok), done)
+		g.finish(id, matchResp(xml, id, &got, ok), done)
 
 	case xmlcodec.OpRead, xmlcodec.OpTake:
 		timeout := binTimeout(req.TimeoutMs)
@@ -309,7 +387,7 @@ func (g *Gateway) serveBinary(b []byte, done func([]byte)) {
 			} else {
 				got, ok = g.sp.TakeIfExists(req.Entry)
 			}
-			g.finishBin(id, appendMatchResp(id, got, ok), done)
+			g.finish(id, matchResp(xml, id, &got, ok), done)
 			break
 		}
 		// Probe first: a hit — the overwhelming steady-state case for a
@@ -319,11 +397,11 @@ func (g *Gateway) serveBinary(b []byte, done func([]byte)) {
 		// probe miss counts nothing; the blocking form parks).
 		take := req.Op == xmlcodec.OpTake
 		if take && g.sp.ProbeTake(&st.got, req.Entry) {
-			g.finishBin(id, appendMatchResp(id, st.got, true), done)
+			g.finish(id, matchResp(xml, id, &st.got, true), done)
 			break
 		}
 		if !take && g.sp.ProbeRead(&st.got, req.Entry) {
-			g.finishBin(id, appendMatchResp(id, st.got, true), done)
+			g.finish(id, matchResp(xml, id, &st.got, true), done)
 			break
 		}
 		op := g.sp.ReadErr
@@ -331,43 +409,37 @@ func (g *Gateway) serveBinary(b []byte, done func([]byte)) {
 			op = g.sp.TakeErr
 		}
 		// The callback may fire after this frame and scratch are long
-		// recycled: it captures only g, id and done. The space clones
-		// the template if it parks, so req.Entry stays scratch-owned.
+		// recycled: it captures only g, xml, id and done. The space
+		// clones the template if it parks, so req.Entry stays
+		// scratch-owned.
 		op(req.Entry, timeout, func(got tuple.Tuple, err error) {
 			switch {
 			case err == nil:
-				g.finishBin(id, appendMatchResp(id, got, true), done)
+				g.finish(id, matchResp(xml, id, &got, true), done)
 			case errors.Is(err, space.ErrTimeout):
-				g.finishBin(id, appendMatchResp(id, tuple.Tuple{}, false), done)
+				g.finish(id, matchResp(xml, id, nil, false), done)
 			default:
-				out := transport.GetBuf(256)
-				out = xmlcodec.AppendResponseBinary(out, id, false, false, 0, err.Error(), nil)
-				g.finishBin(id, out, done)
+				g.finish(id, appendResp(xml, id, false, false, 0, err.Error(), nil), done)
 			}
 		})
 
 	case xmlcodec.OpNotify:
 		subID := id
 		g.sp.Notify(req.Entry, func(t tuple.Tuple) {
-			ev := transport.GetBuf(256)
-			ev = xmlcodec.AppendResponseBinary(ev, subID, true, true, 0, "", &t)
+			ev := appendResp(xml, subID, true, true, 0, "", &t)
 			if err := g.client.Send(ev); err != nil && g.OnError != nil {
 				g.OnError(err)
 			}
 			transport.PutBuf(ev)
 		})
-		out := transport.GetBuf(64)
-		out = xmlcodec.AppendResponseBinary(out, id, true, false, 0, "", nil)
-		g.finishBin(id, out, done)
+		g.finish(id, appendResp(xml, id, true, false, 0, "", nil), done)
 
 	case xmlcodec.OpNotifySession:
 		// Durable subscription: the hub assigns a session id (returned
 		// in Count) and delivers matching writes as sequence-stamped
 		// event batches that survive reconnects.
 		sess := g.hub.Open(g.sp, req.Entry, g.client)
-		out := transport.GetBuf(64)
-		out = xmlcodec.AppendResponseBinary(out, id, true, false, int64(sess), "", nil)
-		g.finishBin(id, out, done)
+		g.finish(id, appendResp(xml, id, true, false, int64(sess), "", nil), done)
 
 	case xmlcodec.OpNotifyResume:
 		// Session id rides the lease-ms header slot, the client's last
@@ -378,45 +450,22 @@ func (g *Gateway) serveBinary(b []byte, done func([]byte)) {
 		if !ok {
 			msg = "wrapper: unknown notify session"
 		}
-		out := transport.GetBuf(64)
-		out = xmlcodec.AppendResponseBinary(out, id, ok, false, int64(sess), msg, nil)
-		g.finishBin(id, out, done)
+		g.finish(id, appendResp(xml, id, ok, false, int64(sess), msg, nil), done)
 
 	case xmlcodec.OpNotifyEnd:
-		sess := uint64(req.LeaseMs)
-		ok := g.hub.End(sess)
+		ok := g.hub.End(uint64(req.LeaseMs))
 		msg := ""
 		if !ok {
 			msg = "wrapper: unknown notify session"
 		}
-		out := transport.GetBuf(64)
-		out = xmlcodec.AppendResponseBinary(out, id, ok, false, 0, msg, nil)
-		g.finishBin(id, out, done)
+		g.finish(id, appendResp(xml, id, ok, false, 0, msg, nil), done)
 
 	default:
-		// Unreachable while the decoder validates opcodes; kept so an id
+		// Unreachable while decode validates ops; kept so an id
 		// registered with the dedup table is always completed.
-		out := transport.GetBuf(128)
-		out = xmlcodec.AppendResponseBinary(out, id, false, false, 0,
-			"wrapper: unknown operation "+req.Op, nil)
-		g.finishBin(id, out, done)
+		g.finish(id, appendResp(xml, id, false, false, 0,
+			fmt.Sprintf("wrapper: unknown operation %q", req.Op), nil), done)
 	}
-	binStatePool.Put(st)
-}
-
-// appendMatchResp builds the hit/miss response of the match
-// operations in a pooled buffer: ok with the tuple, or the historical
-// empty-error miss shape.
-func appendMatchResp(id uint64, got tuple.Tuple, ok bool) []byte {
-	if !ok {
-		out := transport.GetBuf(64)
-		return xmlcodec.AppendResponseBinary(out, id, false, false, 0, "", nil)
-	}
-	// Sized to the entry: a reply grown past its buffer by append would
-	// reach the dedup cache, and then the pool, in a class no request
-	// draws from.
-	out := transport.GetBuf(64 + xmlcodec.TupleBinarySize(&got))
-	return xmlcodec.AppendResponseBinary(out, id, true, false, 0, "", &got)
 }
 
 // batchCollector assembles one batch response frame from its members'
@@ -477,19 +526,17 @@ func (c *batchCollector) flush() {
 }
 
 // handleBatch serves a multi-op batch request frame: each member is a
-// complete single-op binary frame, executed independently (direct
-// backend or RMI forward), with the responses reassembled into one
-// batch response frame in member order.
+// complete single-op binary frame, executed independently (by the
+// executor or the RMI forward), with the responses reassembled into
+// one batch response frame in member order.
 func (g *Gateway) handleBatch(b []byte) {
 	it, err := xmlcodec.NewBatchIter(b)
 	if err != nil {
 		if g.OnError != nil {
 			g.OnError(err)
 		}
-		out := transport.GetBuf(256)
-		out = xmlcodec.AppendResponseBinary(out, 0, false, false, 0,
-			"wrapper: malformed batch: "+err.Error(), nil)
-		g.deliverBin(out, nil)
+		g.deliver(appendResp(false, 0, false, false, 0,
+			"wrapper: malformed batch: "+err.Error(), nil), nil)
 		return
 	}
 	n := it.Len()
@@ -503,10 +550,8 @@ func (g *Gateway) handleBatch(b []byte) {
 				g.OnError(err)
 			}
 			for j := i; j < n; j++ {
-				out := transport.GetBuf(256)
-				out = xmlcodec.AppendResponseBinary(out, 0, false, false, 0,
-					"wrapper: malformed batch member: "+err.Error(), nil)
-				col.slot(j)(out)
+				col.slot(j)(appendResp(false, 0, false, false, 0,
+					"wrapper: malformed batch member: "+err.Error(), nil))
 			}
 			return
 		}

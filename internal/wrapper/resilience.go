@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"tpspace/internal/rmi"
 	"tpspace/internal/sim"
@@ -13,12 +12,13 @@ import (
 // This file makes the client side of the Figure 4 stack survive a
 // faulty hop: per-attempt response deadlines, capped exponential
 // backoff, and retransmission of the SAME request bytes under the SAME
-// id. At-most-once execution is the server's job — RegisterSpace keeps
-// a per-connection dedup table (below), so a retransmit either parks
-// on the in-flight original or is answered from the completed-response
-// cache. Together the two ends turn a lossy transport into an
-// exactly-once operation stream, which is what the chaos harness's
-// "no acknowledged write lost" invariant leans on.
+// id. At-most-once execution is the server's job — the request
+// executor keeps a per-connection dedup table (binDedup, backend.go),
+// so a retransmit either parks on the in-flight original or is
+// answered from the completed-response cache. Together the two ends
+// turn a lossy transport into an exactly-once operation stream, which
+// is what the chaos harness's "no acknowledged write lost" invariant
+// leans on.
 
 // Resilience configures retransmission for a wrapper Client. The zero
 // Deadline disables per-attempt timeouts: requests stranded by a
@@ -132,63 +132,7 @@ func (c *Client) Resend() {
 	}
 }
 
-// dedupCacheCap bounds the completed-response cache; old entries are
-// evicted FIFO. A client retains at most Attempts×(in-flight ops)
-// resendable ids, so this is generous.
+// dedupCacheCap bounds the completed-response cache of the
+// executor's at-most-once table (binDedup). A client retains at most
+// Attempts×(in-flight ops) resendable ids, so this is generous.
 const dedupCacheCap = 4096
-
-// dedup gives the space skeleton at-most-once execution per request
-// id: duplicates of a completed request are answered from a bounded
-// response cache, duplicates of an in-flight request park on it and
-// share its eventual response.
-type dedup struct {
-	mu       sync.Mutex
-	cap      int
-	done     map[uint64][]byte
-	order    []uint64
-	inflight map[uint64][]func([]byte, error)
-}
-
-func newDedup(cap int) *dedup {
-	return &dedup{
-		cap:      cap,
-		done:     make(map[uint64][]byte),
-		inflight: make(map[uint64][]func([]byte, error)),
-	}
-}
-
-// begin registers an attempt at request id. For a fresh id it returns
-// the completion function the operation must respond through; for a
-// duplicate it answers (or parks) respond and returns nil.
-func (d *dedup) begin(id uint64, respond func([]byte, error)) func([]byte, error) {
-	d.mu.Lock()
-	if b, ok := d.done[id]; ok {
-		d.mu.Unlock()
-		respond(b, nil)
-		return nil
-	}
-	if waiters, ok := d.inflight[id]; ok {
-		d.inflight[id] = append(waiters, respond)
-		d.mu.Unlock()
-		return nil
-	}
-	d.inflight[id] = []func([]byte, error){respond}
-	d.mu.Unlock()
-	return func(b []byte, err error) {
-		d.mu.Lock()
-		waiters := d.inflight[id]
-		delete(d.inflight, id)
-		if err == nil {
-			d.done[id] = b
-			d.order = append(d.order, id)
-			for len(d.order) > d.cap {
-				delete(d.done, d.order[0])
-				d.order = d.order[1:]
-			}
-		}
-		d.mu.Unlock()
-		for _, w := range waiters {
-			w(b, err)
-		}
-	}
-}

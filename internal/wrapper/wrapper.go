@@ -1,18 +1,19 @@
 // Package wrapper implements the paper's board-to-space-server stack
 // (Figure 4): a client library that speaks XML entries over any
 // transport, a gateway standing in for the "Java/socket wrapper" on
-// the server host, and an RMI skeleton exposing the SpaceServer —
-// so a request travels
+// the server host, and an RMI skeleton exposing the SpaceServer. In
+// simulation (NewSimServerStack) a request travels
 //
 //	Client --(XML over socket/bus)--> Gateway --(RMI)--> SpaceServer
 //
 // exactly as in the paper, with each marshalling hop paying its real
-// byte cost on its link.
+// byte cost on its link. A real server (NewServerStack) drops the
+// in-process RMI hop: its gateway executes requests on the space
+// directly.
 package wrapper
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -27,9 +28,11 @@ import (
 // SpaceObject is the RMI name the space server is exported under.
 const SpaceObject = "SpaceServer"
 
-// RegisterSpace exports a tuplespace on an RMI server, implementing
-// every operation of the XML protocol. The server's connection is
-// used to push notify events.
+// RegisterSpace exports a tuplespace on an RMI server: the server
+// side of NewSimServerStack's RMI hop. It is an adapter only — each
+// invocation's body is a request frame of either codec, served by the
+// same executor as NewServerStack (backend.go) and answered through
+// respond. Notify events go back over conn as RMI pushes.
 //
 // Operations are executed at most once per request id: a client that
 // resends a request after a timeout or reconnect gets the original
@@ -37,140 +40,47 @@ const SpaceObject = "SpaceServer"
 // than a second execution, and a resend racing the in-flight original
 // is answered when the original completes. Ids are unique per client
 // connection, which is the granularity RegisterSpace is called at.
-//
-// The handler holds no lock of its own around space calls: each
-// operation routes through the space's template classifier, so on a
-// sharded space (space.WithShards) concrete-template traffic from
-// concurrent gateways locks only its home shard — requests do not
-// serialize on a single store mutex, and only wildcard templates take
-// the documented cross-shard path.
 func RegisterSpace(srv *rmi.Server, conn transport.Conn, sp *space.Space) {
-	d := newDedup(dedupCacheCap)
-	srv.Register(SpaceObject, func(method string, body []byte, respond func([]byte, error)) {
-		req, err := xmlcodec.UnmarshalRequest(body)
-		if err != nil {
-			respond(nil, err)
-			return
-		}
-		if req.ID != 0 {
-			respond = d.begin(req.ID, respond)
-			if respond == nil {
-				return // duplicate: answered from cache or parked on the original
-			}
-		}
-		// Every response travels in the codec its request arrived in:
-		// binary-protocol clients get binary replies, XML clients XML.
-		reply := func(resp xmlcodec.Response) {
-			b, err := xmlcodec.MarshalResponseIn(req.Binary, resp)
-			respond(b, err)
-		}
-		switch method {
-		case xmlcodec.OpPing:
-			reply(xmlcodec.NewResponse(req.ID, true, nil, ""))
-		case xmlcodec.OpCount:
-			tmpl, err := req.Tuple()
-			if err != nil {
-				respond(nil, err)
-				return
-			}
-			resp := xmlcodec.NewResponse(req.ID, true, nil, "")
-			resp.Count = int64(sp.Count(tmpl))
-			reply(resp)
-		case xmlcodec.OpWrite:
-			t, err := req.Tuple()
-			if err != nil {
-				respond(nil, err)
-				return
-			}
-			if err := sp.Put(t, req.Lease()); err != nil {
-				reply(xmlcodec.NewResponse(req.ID, false, nil, err.Error()))
-				return
-			}
-			reply(xmlcodec.NewResponse(req.ID, true, nil, ""))
-		case xmlcodec.OpReadIfExists, xmlcodec.OpTakeIfExists:
-			tmpl, err := req.Tuple()
-			if err != nil {
-				respond(nil, err)
-				return
-			}
-			var got tuple.Tuple
-			var ok bool
-			if method == xmlcodec.OpReadIfExists {
-				got, ok = sp.ReadIfExists(tmpl)
-			} else {
-				got, ok = sp.TakeIfExists(tmpl)
-			}
-			if ok {
-				reply(xmlcodec.NewResponse(req.ID, true, &got, ""))
-			} else {
-				reply(xmlcodec.NewResponse(req.ID, false, nil, ""))
-			}
-		case xmlcodec.OpRead, xmlcodec.OpTake:
-			tmpl, err := req.Tuple()
-			if err != nil {
-				respond(nil, err)
-				return
-			}
-			op := sp.ReadErr
-			if method == xmlcodec.OpTake {
-				op = sp.TakeErr
-			}
-			id := req.ID
-			op(tmpl, req.Timeout(), func(got tuple.Tuple, err error) {
-				switch {
-				case err == nil:
-					reply(xmlcodec.NewResponse(id, true, &got, ""))
-				case errors.Is(err, space.ErrTimeout):
-					// A plain miss keeps the historical empty-error shape.
-					reply(xmlcodec.NewResponse(id, false, nil, ""))
-				default:
-					reply(xmlcodec.NewResponse(id, false, nil, err.Error()))
-				}
-			})
-		case xmlcodec.OpNotify:
-			tmpl, err := req.Tuple()
-			if err != nil {
-				respond(nil, err)
-				return
-			}
-			subID := req.ID
-			subBinary := req.Binary
-			sp.Notify(tmpl, func(t tuple.Tuple) {
-				resp := xmlcodec.NewResponse(subID, true, &t, "")
-				resp.Event = true
-				if b, err := xmlcodec.MarshalResponseIn(subBinary, resp); err == nil {
-					_ = rmi.Push(conn, SpaceObject, "event", b)
-				}
-			})
-			reply(xmlcodec.NewResponse(req.ID, true, nil, ""))
-		default:
-			respond(nil, fmt.Errorf("wrapper: unknown operation %q", method))
-		}
+	g := &Gateway{client: pushConn{conn}, sp: sp, bd: newBinDedup(dedupCacheCap)}
+	srv.Register(SpaceObject, func(_ string, body []byte, respond func([]byte, error)) {
+		g.serve(body, func(resp []byte) {
+			respond(resp, nil)
+			transport.PutBuf(resp)
+		})
 	})
 }
 
+// pushConn sends the RMI adapter's notify events over the RMI
+// connection as oneway pushes, which the gateway relays to its client.
+type pushConn struct{ transport.Conn }
+
+func (p pushConn) Send(b []byte) error { return rmi.Push(p.Conn, SpaceObject, "event", b) }
+
 // Gateway is the Java/socket wrapper of Figure 4: it owns the
-// client-facing transport, forwards XML requests to the space server
-// through RMI, and relays responses and notify events back.
+// client-facing transport and serves its requests — by executing them
+// on the space itself (NewServerStack), or by forwarding them to the
+// space server over RMI and relaying responses and notify events back
+// (NewGateway, as in NewSimServerStack).
 //
 // Every request runs to completion on the goroutine that delivers it —
 // the transport's reader goroutine on TCP, the sender's on the
-// in-process loopback. No request blocks there: binary ops either hit
-// at once or park a callback in the space's waiter index, and XML ops
-// ride the callback-driven RMI hop. Replies go out through the
-// transport's send path; when that backs up, the reader waits, and
-// the backpressure reaches the client through TCP (DESIGN §16).
+// in-process loopback. No request blocks there: an op either completes
+// at once or parks a callback in the space's waiter index (on the RMI
+// path, a pending call). Replies go out through the transport's send
+// path; when that backs up, the reader waits, and the backpressure
+// reaches the client through TCP (DESIGN §16).
 type Gateway struct {
 	client transport.Conn
-	rmi    *rmi.Client
-	// sp, when set (NewServerStack), serves binary frames directly on
-	// the space — the zero-copy path of backend.go. bd is its
-	// at-most-once table.
-	sp *space.Space
-	bd *binDedup
+	// rmi, when set, forwards every request to the space server.
+	// Without it the gateway is the executor: sp serves the requests
+	// and bd is the connection's at-most-once table.
+	rmi *rmi.Client
+	sp  *space.Space
+	bd  *binDedup
 	// hub serves durable notify sessions (notify.go); shared across
 	// the gateways of a server process so sessions survive reconnects
-	// onto new connections.
+	// onto new connections. Nil on the RMI adapter, which serves no
+	// sessions.
 	hub *NotifyHub
 	// OnError observes protocol failures.
 	OnError func(error)
@@ -178,7 +88,6 @@ type Gateway struct {
 
 // gwConfig carries the GatewayOption knobs.
 type gwConfig struct {
-	sp  *space.Space
 	hub *NotifyHub
 }
 
@@ -194,12 +103,6 @@ func WithWorkers(n int) GatewayOption {
 	return func(*gwConfig) {}
 }
 
-// withSpace wires the gateway's direct space backend — set by
-// NewServerStack, where gateway and space share a process.
-func withSpace(sp *space.Space) GatewayOption {
-	return func(c *gwConfig) { c.sp = sp }
-}
-
 // WithNotifyHub shares a notify-session hub across gateways. A
 // server accepting many connections must pass the same hub to every
 // per-connection stack — a session opened on one connection is
@@ -212,18 +115,8 @@ func WithNotifyHub(h *NotifyHub) GatewayOption {
 // NewGateway bridges the client-facing connection to an RMI client
 // bound to the space server. Notify events pushed by the server are
 // forwarded to the client connection.
-func NewGateway(client transport.Conn, rc *rmi.Client, opts ...GatewayOption) *Gateway {
-	var cfg gwConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	g := &Gateway{client: client, rmi: rc, sp: cfg.sp, hub: cfg.hub}
-	if g.sp != nil {
-		g.bd = newBinDedup(dedupCacheCap)
-		if g.hub == nil {
-			g.hub = NewNotifyHub()
-		}
-	}
+func NewGateway(client transport.Conn, rc *rmi.Client) *Gateway {
+	g := &Gateway{client: client, rmi: rc}
 	rc.OnEvent = func(object, method string, body []byte) {
 		if object == SpaceObject && method == "event" {
 			if err := g.client.Send(body); err != nil && g.OnError != nil {
@@ -247,72 +140,34 @@ func (g *Gateway) handle(b []byte) {
 
 // handleOne serves one single-op request frame. done, when non-nil,
 // receives the owned response frame instead of it being sent — the
-// batch assembly path. Binary frames take the direct space backend
-// when the gateway has one; everything else rides RMI. Malformed
-// frames are answered in the codec their magic byte announced (ID 0
-// when no id could be parsed) and never kill the session.
+// batch assembly path. Malformed frames are answered in the codec
+// their magic byte announced (ID 0 when no id could be parsed) and
+// never kill the session.
 func (g *Gateway) handleOne(b []byte, done func([]byte)) {
-	if g.sp != nil && xmlcodec.IsBinaryRequest(b) {
-		g.serveBinary(b, done)
+	if g.rmi == nil {
+		g.serve(b, done)
 		return
 	}
 	if id, op, ok := xmlcodec.PeekRequest(b); ok {
-		g.forward(id, op, true, b, done)
+		g.forward(id, op, false, b, done)
 		return
 	}
-	if xmlcodec.IsBinaryFrame(b) {
-		// A binary-magic frame that fails the header parse: answer with
-		// an ID-0 binary error (mirroring the XML malformed path) so a
-		// binary client can decode its own failure.
-		_, err := xmlcodec.UnmarshalRequest(b)
-		if err == nil {
-			err = errors.New("unexpected binary frame")
-		}
-		if g.OnError != nil {
-			g.OnError(err)
-		}
-		out := transport.GetBuf(256)
-		out = xmlcodec.AppendResponseBinary(out, 0, false, false, 0,
-			"wrapper: malformed request: "+err.Error(), nil)
-		g.deliverBin(out, done)
-		return
-	}
-	req, err := xmlcodec.UnmarshalRequest(b)
+	req, err := parseXMLRequest(b)
 	if err != nil {
-		// A malformed request must not kill the session: report it to
-		// the sender as an error response (ID 0 — the request id, if
-		// any, was unparseable) and keep serving.
-		if g.OnError != nil {
-			g.OnError(err)
-		}
-		resp := xmlcodec.NewResponse(0, false, nil, "wrapper: malformed request: "+err.Error())
-		if rb, merr := xmlcodec.MarshalResponse(resp); merr == nil {
-			if done != nil {
-				out := transport.GetBuf(len(rb))
-				done(append(out, rb...))
-			} else if serr := g.client.Send(rb); serr != nil && g.OnError != nil {
-				g.OnError(serr)
-			}
-		}
+		g.malformed(b, 0, err, done)
 		return
 	}
-	g.forward(req.ID, req.Op, req.Binary, b, done)
+	g.forward(req.ID, req.Op, true, b, done)
 }
 
 // forward relays the raw request to the space skeleton over RMI and
 // sends the response (or a local error response in the request's
 // codec) back to the client — or into its batch slot via done.
-func (g *Gateway) forward(id uint64, op string, binaryCodec bool, b []byte, done func([]byte)) {
+func (g *Gateway) forward(id uint64, op string, xml bool, b []byte, done func([]byte)) {
 	g.rmi.Call(SpaceObject, op, b, func(respBody []byte, err error) {
 		if err != nil {
-			resp := xmlcodec.NewResponse(id, false, nil, err.Error())
-			respBody, err = xmlcodec.MarshalResponseIn(binaryCodec, resp)
-			if err != nil {
-				if g.OnError != nil {
-					g.OnError(err)
-				}
-				return
-			}
+			g.deliver(appendResp(xml, id, false, false, 0, err.Error(), nil), done)
+			return
 		}
 		if done != nil {
 			// The RMI body is only valid during this callback; the batch
@@ -412,7 +267,7 @@ type Client struct {
 	subs   map[uint64]func(tuple.Tuple)
 	// Durable notify sessions (client_notify.go): live sessions by
 	// server-assigned id, plus frames that beat their own open reply
-	// to the socket (the server's flusher races finishBin).
+	// to the socket (the server's flusher races the open reply).
 	nsess      map[uint64]*clientNotifySession
 	nsessEarly map[uint64][][]byte
 	res        atomic.Pointer[Resilience]
@@ -517,7 +372,7 @@ func (c *Client) onMessage(b []byte) {
 // is the server-side blocking budget the request carries, granted on
 // top of the per-attempt deadline when resilience is enabled.
 func (c *Client) send(req xmlcodec.Request, timeout sim.Duration, cb func(xmlcodec.Response)) {
-	b, err := xmlcodec.MarshalRequestIn(c.binary, req)
+	b, err := xmlcodec.MarshalRequest(req)
 	if err != nil {
 		cb(xmlcodec.NewResponse(req.ID, false, nil, err.Error()))
 		return
@@ -536,7 +391,7 @@ func (c *Client) send(req xmlcodec.Request, timeout sim.Duration, cb func(xmlcod
 // sendCell is send for the blocking conveniences: the request
 // completes into cell instead of a callback closure.
 func (c *Client) sendCell(req xmlcodec.Request, timeout sim.Duration, cell *completionCell) {
-	b, err := xmlcodec.MarshalRequestIn(c.binary, req)
+	b, err := xmlcodec.MarshalRequest(req)
 	if err != nil {
 		cell.fail(err.Error())
 		return
@@ -791,38 +646,40 @@ func (c *Client) ReadWaitInto(into *tuple.Tuple, tmpl tuple.Tuple, timeout sim.D
 	return c.matchWait(xmlcodec.OpRead, into, tmpl, timeout)
 }
 
-// ServerStack bundles a space, its RMI plumbing and a gateway: the
-// whole server host of Figure 4 in one call.
+// ServerStack bundles a space and the gateway serving it: the whole
+// server host of Figure 4 in one call.
 type ServerStack struct {
 	Space   *space.Space
 	Gateway *Gateway
 }
 
 // NewServerStack builds the server side over the given client-facing
-// connection: an in-process RMI hop (loopback pair) connects the
-// gateway to the space skeleton, mirroring "RMI is still used inside
-// the server ... to interface the server with the Java/socket
-// wrapper".
+// connection. Gateway and space share the process, so the gateway
+// executes every request on the space itself, in both codecs, with no
+// RMI hop: the paper keeps RMI inside the server only because its
+// Java prototype needed it.
 func NewServerStack(clientConn transport.Conn, sp *space.Space, opts ...GatewayOption) *ServerStack {
-	a, b := transport.NewLoopback()
-	srv := rmi.NewServer(a)
-	RegisterSpace(srv, a, sp)
-	rc := rmi.NewClient(b)
-	// The gateway and space share this process: hand the gateway a
-	// direct space handle so binary frames skip the RMI hop entirely.
-	opts = append(append([]GatewayOption(nil), opts...), withSpace(sp))
-	gw := NewGateway(clientConn, rc, opts...)
-	return &ServerStack{Space: sp, Gateway: gw}
+	var cfg gwConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.hub == nil {
+		cfg.hub = NewNotifyHub()
+	}
+	g := &Gateway{client: clientConn, sp: sp, bd: newBinDedup(dedupCacheCap), hub: cfg.hub}
+	clientConn.SetOnReceive(g.handle)
+	return &ServerStack{Space: sp, Gateway: g}
 }
 
-// NewSimServerStack is NewServerStack with the internal RMI hop
-// carried over a simulated pipe with the given latency, so the
-// intra-host cost appears on the simulation timeline.
+// NewSimServerStack builds the server side with the paper's internal
+// RMI hop — "RMI is still used inside the server ... to interface the
+// server with the Java/socket wrapper" — carried over a simulated pipe
+// with the given latency, so the intra-host cost appears on the
+// simulation timeline.
 func NewSimServerStack(k *sim.Kernel, clientConn transport.Conn, sp *space.Space, rmiLatency sim.Duration) *ServerStack {
 	a, b := transport.NewSimPipe(k, rmiLatency)
 	srv := rmi.NewServer(a)
 	RegisterSpace(srv, a, sp)
-	rc := rmi.NewClient(b)
-	gw := NewGateway(clientConn, rc)
+	gw := NewGateway(clientConn, rmi.NewClient(b))
 	return &ServerStack{Space: sp, Gateway: gw}
 }

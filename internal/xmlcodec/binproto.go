@@ -196,22 +196,3 @@ func unmarshalResponseBinary(b []byte) (Response, error) {
 	}
 	return r, nil
 }
-
-// MarshalRequestIn picks the wire codec: binary when binary is set,
-// the XML default otherwise.
-func MarshalRequestIn(binaryCodec bool, r Request) ([]byte, error) {
-	if binaryCodec {
-		return MarshalRequestBinary(r)
-	}
-	return MarshalRequest(r)
-}
-
-// MarshalResponseIn picks the wire codec for a reply — servers pass
-// the request's Binary flag so every response travels in the codec
-// its request arrived in.
-func MarshalResponseIn(binaryCodec bool, r Response) ([]byte, error) {
-	if binaryCodec {
-		return MarshalResponseBinary(r)
-	}
-	return MarshalResponse(r)
-}

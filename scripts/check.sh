@@ -13,7 +13,9 @@
 #   the network serving plane including the multi-op batch rows
 #   (-batchops 8), a real-process serving smoke (a spaceserver child
 #   on a loopback port driven by spacecli over XML and binary,
-#   including a take that parks until another client writes), a
+#   including a take that parks until another client writes, and a
+#   connection-leak gate: the server's open fds may grow by at most 4
+#   over 40 short spacecli runs), a
 #   -scaling smoke (the GOMAXPROCS sweep must emit
 #   its P=1 reference row), a classic-workload smoke (every pattern of
 #   tpbench -workload must emit its sim estimate pair and its
@@ -202,6 +204,30 @@ fi
 "$tmp/spacecli" -addr "$addr" write parked n:int=42 | grep -qx ok
 wait "$taker"
 grep -q 42 "$tmp/parked.txt"
+# Each spacecli run connects, does one op and leaves: the server must
+# release every departed connection's socket (and its goroutines).
+if [ -d "/proc/$server/fd" ]; then
+    fds_before=$(ls "/proc/$server/fd" | wc -l)
+    for _ in $(seq 20); do
+        for codec in "" -binary; do
+            # shellcheck disable=SC2086
+            "$tmp/spacecli" -addr "$addr" $codec count smoke 'op=?' 'n:int=?' > /dev/null
+        done
+    done
+    # The server closes a socket just after its peer's EOF; give the
+    # last few a moment.
+    for _ in $(seq 50); do
+        fds_after=$(ls "/proc/$server/fd" | wc -l)
+        [ $((fds_after - fds_before)) -le 4 ] && break
+        sleep 0.1
+    done
+    if [ $((fds_after - fds_before)) -gt 4 ]; then
+        echo "spaceserver leaks connections: $fds_before fds before 40 spacecli runs, $fds_after after" >&2
+        exit 1
+    fi
+else
+    echo "no /proc/$server/fd: connection-leak gate skipped"
+fi
 kill "$server"
 wait "$server" 2>/dev/null || true
 
