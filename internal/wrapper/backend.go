@@ -63,9 +63,15 @@ var binStatePool = sync.Pool{
 // sequential, so a slot holds an id for exactly cap completions before
 // collision evicts it — the same retention a FIFO queue of capacity
 // cap provides.
+//
+// The array starts small and doubles, up to cap, whenever a completed
+// id outgrows it: a connection that issues few requests (a simulated
+// client, a one-shot CLI) holds a few slots, not cap of them, and
+// sequential ids still never collide before the table reaches cap.
 type binDedup struct {
 	mu       sync.Mutex
-	mask     uint64
+	mask     uint64 // len(slots)-1
+	maxMask  uint64 // cap-1: the mask the table stops growing at
 	slots    []bdSlot
 	inflight map[uint64]*bdWait
 	free     *bdWait // bdWait freelist, so the steady state allocates nothing
@@ -85,16 +91,37 @@ type bdWait struct {
 	next    *bdWait
 }
 
+// bdInitSlots is the table's starting size.
+const bdInitSlots = 16
+
 func newBinDedup(cap int) *binDedup {
 	n := 1
 	for n < cap {
 		n <<= 1
 	}
+	first := min(n, bdInitSlots)
 	return &binDedup{
-		mask:     uint64(n - 1),
-		slots:    make([]bdSlot, n),
+		mask:     uint64(first - 1),
+		maxMask:  uint64(n - 1),
+		slots:    make([]bdSlot, first),
 		inflight: make(map[uint64]*bdWait),
 	}
+}
+
+// grow doubles the table until id fits or it reaches cap. Each cached
+// response keeps its slot's low bits, so none collides on the way.
+func (d *binDedup) grow(id uint64) {
+	n := uint64(len(d.slots))
+	for n <= id && n-1 < d.maxMask {
+		n <<= 1
+	}
+	slots := make([]bdSlot, n)
+	for _, s := range d.slots {
+		if s.resp != nil {
+			slots[s.id&(n-1)] = s
+		}
+	}
+	d.slots, d.mask = slots, n-1
 }
 
 // begin verdicts.
@@ -141,6 +168,9 @@ func (d *binDedup) complete(id uint64, resp []byte) (waiters []func([]byte), dup
 	d.mu.Lock()
 	w := d.inflight[id]
 	delete(d.inflight, id)
+	if id > d.mask && d.mask < d.maxMask {
+		d.grow(id)
+	}
 	s := &d.slots[id&d.mask]
 	if s.resp != nil {
 		transport.PutBuf(s.resp)

@@ -331,3 +331,56 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached")
 }
+
+// TestBinDedupGrowsKeepingRetention: the completed-response table
+// starts small and grows, and still answers every one of the last cap
+// sequential ids from its cache, evicting only older ones.
+func TestBinDedupGrowsKeepingRetention(t *testing.T) {
+	const cap = 64
+	d := newBinDedup(cap)
+	if len(d.slots) != bdInitSlots {
+		t.Fatalf("table starts at %d slots, want %d", len(d.slots), bdInitSlots)
+	}
+	resp := func(id uint64) []byte {
+		return append(transport.GetBuf(8), byte(id), byte(id>>8))
+	}
+	check := func(id uint64, cached bool) {
+		t.Helper()
+		verdict, got := d.begin(id, nil)
+		if !cached {
+			if verdict != bdNew {
+				t.Fatalf("id %d: verdict %d, want a fresh id", id, verdict)
+			}
+			d.complete(id, resp(id))
+			return
+		}
+		if verdict != bdDup || string(got) != string(resp(id)) {
+			t.Fatalf("id %d: verdict %d reply %v, want the cached reply", id, verdict, got)
+		}
+		transport.PutBuf(got)
+	}
+	for id := uint64(1); id <= cap; id++ {
+		check(id, false)
+	}
+	if len(d.slots) != cap {
+		t.Fatalf("table grew to %d slots, want %d", len(d.slots), cap)
+	}
+	for id := uint64(1); id <= cap; id++ {
+		check(id, true)
+	}
+	for id := uint64(cap + 1); id <= cap+cap/2; id++ {
+		check(id, false)
+	}
+	for id := uint64(cap/2 + 1); id <= cap+cap/2; id++ {
+		check(id, true)
+	}
+	check(cap/2, false) // evicted by id cap+cap/2
+
+	// A first id past cap grows the table to cap at once.
+	d = newBinDedup(cap)
+	check(1000, false)
+	if len(d.slots) != cap {
+		t.Fatalf("table holds %d slots after id 1000, want %d", len(d.slots), cap)
+	}
+	check(1000, true)
+}

@@ -1,7 +1,6 @@
 package wrapper
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,9 +14,6 @@ import (
 	"tpspace/internal/tuple"
 	"tpspace/internal/xmlcodec"
 )
-
-var updateEquivalence = flag.Bool("update-equivalence", false,
-	"rewrite testdata/equivalence_*.golden from the direct stack's replies")
 
 // equivStep is one step of the scripted session: its frames are sent
 // in order, then the simulation runs to quiescence.
@@ -186,8 +182,8 @@ func runEquivScript(t *testing.T, binary, direct bool) string {
 // and the RMI stack (NewSimServerStack), in each codec. The reply
 // frames must be byte-identical per request id across the two stacks
 // and equal to the committed golden of the codec. The goldens pin the
-// wire protocol: regenerate them (-update-equivalence) only for an
-// intended change to a reply.
+// wire protocol: change them by hand, from the replies a mismatch
+// logs in full, only for an intended change to a reply.
 func TestCodecEquivalence(t *testing.T) {
 	for _, binary := range []bool{false, true} {
 		codec := "xml"
@@ -198,23 +194,17 @@ func TestCodecEquivalence(t *testing.T) {
 			direct := runEquivScript(t, binary, true)
 			viaRMI := runEquivScript(t, binary, false)
 			golden := filepath.Join("testdata", "equivalence_"+codec+".golden")
-			if *updateEquivalence {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, []byte(direct), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
 			want, err := os.ReadFile(golden)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if direct != string(want) {
 				t.Errorf("direct stack replies differ from %s:\n%s", golden, firstDiff(string(want), direct))
+				t.Logf("direct stack replies:\n%s", direct)
 			}
 			if viaRMI != string(want) {
 				t.Errorf("RMI stack replies differ from %s:\n%s", golden, firstDiff(string(want), viaRMI))
+				t.Logf("RMI stack replies:\n%s", viaRMI)
 			}
 		})
 	}
